@@ -12,6 +12,19 @@ of degree m, coefficients compared from x^(m-1) down to the constant
 term. For m = 1 this yields the polynomial x, so prime-field codes are
 the usual residues 0..p-1.
 
+Arithmetic takes one of three paths, chosen by q: full q*q add/mul
+tables for q <= 512, exp/log tables of the least multiplicative generator
+for q <= 2^16, and raw polynomial arithmetic above that. A raw product
+works on a packed form of the code. For p = 2 the code already is the bit
+vector of the coefficients, and the product is a carry-less shift-and-XOR
+multiply. For odd p the digits are spread into w-bit slots of one integer,
+wide enough that no coefficient of a product carries into the next slot,
+so one integer multiply forms every coefficient at once (Kronecker
+substitution); one multiply by a fixed-point reciprocal of p then reduces
+all slots mod p together. Either way the product is reduced with
+x^m = g, where g is the negated low part of the modulus. The exp/log
+tables are built by walking g^i in the same packed form.
+
 Polynomials over a field context are plain tuples of codes, constant
 term first, with no trailing zeros (the zero polynomial is the empty
 tuple). The helpers below work over any context, prime or not.
@@ -186,6 +199,15 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def prime_power(n: int) -> tuple[int, int]:
+    """(p, m) with n = p^m; ValueError when n is not a prime power."""
+    fac = _factorize(n)
+    if len(fac) != 1:
+        raise ValueError(f"{n} is not a prime power")
+    (p, m), = fac.items()
+    return p, m
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -197,7 +219,8 @@ class FieldCtx:
 
     __slots__ = (
         "p", "m", "q", "modulus", "name",
-        "_xpows", "_add_tab", "_mul_tab", "_neg_tab", "_inv_tab",
+        "_xm", "_slot", "_recip", "_digit_mask", "_levels",
+        "_add_tab", "_mul_tab", "_neg_tab", "_inv_tab",
         "_exp", "_log", "_gen_code",
     )
 
@@ -207,14 +230,7 @@ class FieldCtx:
         self.q = p**m
         self.modulus = modulus
         self.name = f"{p}^{m}" if m > 1 else f"{p}"
-        # x^(m+k) mod modulus for k = 0..m-2, as coefficient tuples
-        xpows = []
-        cur = tuple(self.p - c if c else 0 for c in modulus[:-1])  # -modulus low part = x^m
-        cur = _trim_fixed(cur, m)
-        for _ in range(max(m - 1, 0)):
-            xpows.append(cur)
-            cur = self._shift_reduce(cur)
-        self._xpows = xpows
+        self._init_packing()
         self._add_tab = self._mul_tab = self._neg_tab = self._inv_tab = None
         self._exp = self._log = None
         self._gen_code = None
@@ -223,7 +239,38 @@ class FieldCtx:
         elif self.q <= _LOG_Q:
             self._build_exp_log()
 
-    # -- raw polynomial arithmetic on codes --------------------------------
+    # -- raw polynomial arithmetic on packed codes ----------------------------
+
+    def _init_packing(self) -> None:
+        p, m = self.p, self.m
+        # x^m = g modulo the monic modulus, g = -(modulus - x^m)
+        g = [(p - c) % p for c in self.modulus[:-1]]
+        if p == 2:
+            self._xm = self._encode(g)
+            self._levels = ()
+            return
+        # before a reduction mod p a slot holds at most m products of two
+        # digits (a product of packed codes), or at most m - 1 such products
+        # plus a digit (a fold in _mul_packed). Slot-wise, v mod p is
+        # v - p*floor(v/p) with floor(v/p) = floor(v*recip / 2^shift), exact
+        # for v < 2^bits since v*(recip*p - 2^shift) < 2^bits * p <= 2^shift
+        bits = (m * (p - 1) ** 2).bit_length()
+        shift = bits + p.bit_length()
+        w = bits + shift  # v*recip < 2^w, so no slot spills into the next
+        self._slot = w
+        self._recip = (-(-(1 << shift) // p), shift)
+        self._digit_mask = sum(((1 << bits) - 1) << (i * w) for i in range(2 * m - 1))
+        self._xm = self._pack(self._encode(g))
+        # unpacking merges adjacent slots pairwise: at each level the low
+        # slot of every pair gains the high one times p^span
+        levels = []
+        width, span = w, 1
+        while span < m:
+            pairs = -(-m // (2 * span))
+            even = sum(((1 << width) - 1) << (2 * width * i) for i in range(pairs))
+            levels.append((width, even, p**span))
+            width, span = 2 * width, 2 * span
+        self._levels = levels
 
     def _decode(self, code: int) -> list[int]:
         p = self.p
@@ -238,39 +285,49 @@ class FieldCtx:
             code = code * self.p + c
         return code
 
-    def _shift_reduce(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-        # multiply by x, reduce once using x^m = _xpows-free relation
-        p, m = self.p, self.m
-        top = coeffs[m - 1]
-        shifted = [0] + list(coeffs[: m - 1])
-        if top:
-            red = self.modulus[:-1]  # monic: x^m = -(low part)
-            for i in range(m):
-                shifted[i] = (shifted[i] - top * red[i]) % p
-        return tuple(shifted)
+    def _pack(self, code: int) -> int:
+        """Base-p code -> one digit per slot (p = 2: the code itself)."""
+        p = self.p
+        if p == 2:
+            return code
+        w = self._slot
+        out = sh = 0
+        while code:
+            out |= code % p << sh
+            code //= p
+            sh += w
+        return out
+
+    def _unpack(self, packed: int) -> int:
+        """Inverse of _pack, for m slots each holding a digit below p."""
+        for width, even, scale in self._levels:
+            packed = (packed & even) + (packed >> width & even) * scale
+        return packed
+
+    def _reduce_digits(self, packed: int) -> int:
+        recip, shift = self._recip
+        return packed - self.p * (packed * recip >> shift & self._digit_mask)
+
+    def _mul_packed(self, a: int, b: int) -> int:
+        """Product of two packed codes, reduced modulo the modulus."""
+        m, g = self.m, self._xm
+        if self.p == 2:
+            prod = _clmul(a, b)
+            low = (1 << m) - 1
+            while prod >> m:
+                prod = (prod & low) ^ _clmul(prod >> m, g)
+            return prod
+        # the part above x^m times g is added back until none is left; g has
+        # low degree for least moduli, so one or two rounds do
+        mw = m * self._slot
+        low = (1 << mw) - 1
+        prod = self._reduce_digits(a * b)
+        while prod >> mw:
+            prod = self._reduce_digits((prod & low) + (prod >> mw) * g)
+        return prod
 
     def _mul_raw(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        p, m = self.p, self.m
-        ca = self._decode(a)
-        cb = self._decode(b)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(ca):
-            if x == 0:
-                continue
-            for j, y in enumerate(cb):
-                if y:
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        out = prod[:m]
-        for k in range(m, 2 * m - 1):
-            c = prod[k]
-            if c:
-                xp = self._xpows[k - m]
-                for i, r in enumerate(xp):
-                    if r:
-                        out[i] = (out[i] + c * r) % p
-        return self._encode(out)
+        return self._unpack(self._mul_packed(self._pack(a), self._pack(b)))
 
     def _add_raw(self, a: int, b: int) -> int:
         p = self.p
@@ -306,14 +363,15 @@ class FieldCtx:
                 return 1
             raise ZeroDivisionError("0 has no negative powers")
         e %= self.q - 1 if self.q > 2 else 1
-        result = 1
-        base = a
-        while e > 0:
+        result = 1  # packed 1 is 1
+        base = self._pack(a)
+        while True:
             if e & 1:
-                result = self._mul_raw(result, base)
-            base = self._mul_raw(base, base)
+                result = self._mul_packed(result, base)
             e >>= 1
-        return result
+            if not e:
+                return self._unpack(result)
+            base = self._mul_packed(base, base)
 
     # -- table construction -------------------------------------------------
 
@@ -333,11 +391,13 @@ class FieldCtx:
         order = self.q - 1
         exp = [0] * order
         log = [0] * self.q
+        step = self._pack(g)
         cur = 1
         for i in range(order):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_raw(cur, g)
+            code = self._unpack(cur)
+            exp[i] = code
+            log[code] = i
+            cur = self._mul_packed(cur, step)
         self._exp = exp
         self._log = log
 
@@ -438,9 +498,15 @@ class FieldCtx:
         return f"FieldCtx(F_{self.name})"
 
 
-def _trim_fixed(coeffs, m: int) -> tuple[int, ...]:
-    out = list(coeffs) + [0] * (m - len(coeffs))
-    return tuple(out[:m])
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product of two bit-packed polynomials over F_2."""
+    rows = (0, a, a << 1, a << 1 ^ a)
+    out = sh = 0
+    while b:
+        out ^= rows[b & 3] << sh
+        b >>= 2
+        sh += 2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +577,7 @@ def parse_field(text: str, *, max_order: int | None = None) -> FieldCtx:
     if "^" in text:
         p_s, m_s = text.split("^", 1)
         return make_field(int(p_s), int(m_s), max_order=max_order)
-    n = int(text)
-    fac = _factorize(n)
-    if len(fac) != 1:
-        raise ValueError(f"{n} is not a prime power")
-    (p, m), = fac.items()
+    p, m = prime_power(int(text))
     return make_field(p, m, max_order=max_order)
 
 

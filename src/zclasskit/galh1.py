@@ -19,7 +19,15 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .errors import BoundExceeded, ConsistencyError
-from .ff import FieldCtx, embed, make_field, poly_eval, power_class_count
+from .ff import (
+    FieldCtx,
+    _factorize,
+    embed,
+    make_field,
+    poly_eval,
+    power_class_count,
+    prime_power,
+)
 from .grpcore import (
     QuotientGroup,
     Subgroup,
@@ -363,16 +371,7 @@ def _ord_mod(base: int, mod: int) -> int:
 def _mu_generator(big: FieldCtx, n: int) -> int:
     """Code of an element of exact multiplicative order n; least power base."""
     cof = (big.q - 1) // n
-    primes = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            primes.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        primes.add(m)
+    primes = _factorize(n)
     for x in range(2, min(big.q, 1 << 20)):
         z = big.pow(x, cof)
         if z == 0 or big.pow(z, n) != 1:
@@ -404,15 +403,10 @@ class H1Result:
 def _mu_twisted_classes(p: int, m: int, r: int, q: int, np: int, n: int) -> TwistedClassSet:
     """Twisted classes of mu_np realized inside F_{p^(m*r)} under x -> x^q."""
     big = make_field(p, m * r, max_order=p ** (m * r))
-    if np == 1:
-        mu = [1]
-    else:
-        zeta = _mu_generator(big, np)
-        mu = [1]
-        cur = 1
-        for _ in range(np - 1):
-            cur = big.mul(cur, zeta)
-            mu.append(cur)
+    zeta = _mu_generator(big, np) if np > 1 else 1
+    mu = [1]
+    for _ in range(np - 1):
+        mu.append(big.mul(mu[-1], zeta))
     T = make_twisted(
         mu,
         big.mul,
@@ -420,6 +414,7 @@ def _mu_twisted_classes(p: int, m: int, r: int, q: int, np: int, n: int) -> Twis
         1,
         lambda x: big.pow(x, q),
         r,
+        gens=[zeta],
         label=f"mu_{n}@F_{big.name}",
     )
     return twisted_classes(T)
@@ -437,7 +432,7 @@ def h1_mu_n(q: int, n: int, r_realizing: int | None = None) -> H1Result:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    p, m = _parse_prime_power(q)
+    p, m = prime_power(q)
     np = _prime_to_p_part(n, p)
     r = _ord_mod(q, np) if np > 1 else 1
     if r_realizing is not None:
@@ -464,24 +459,6 @@ def h1_mu_n(q: int, n: int, r_realizing: int | None = None) -> H1Result:
             f"{pcc.size}, gcd {expected}"
         )
     return H1Result(q, n, np, r, cs.size, tuple(cs.reps))
-
-
-def _parse_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1)
-        if q % p == 0:
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return (p, m)
-    raise ValueError(f"{q} is not a prime power")
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,20 @@ def test_twist_must_be_homomorphism():
         make_twisted(units, F9.mul, F9.inv, 1, twist, 2)
 
 
+def test_twist_must_be_homomorphism_with_generator():
+    # with a generator supplied only elements x generator are checked; the
+    # swapped twist still fails at g * g, since F(g^2) = g^2 != g^6
+    g = mult_generator(F9).code
+    units = [F9.pow(g, k) for k in range(8)]
+    swap = {g: F9.pow(g, 3), F9.pow(g, 3): g}
+
+    def twist(x):
+        return swap.get(x, x)
+
+    with pytest.raises(ValueError, match="homomorphism"):
+        make_twisted(units, F9.mul, F9.inv, 1, twist, 2, gens=[g])
+
+
 def test_identity_must_be_in_carrier():
     with pytest.raises(ValueError, match="identity"):
         make_twisted([2, 3], F49.mul, F49.inv, 1, lambda x: x, 1)
