@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -317,3 +319,31 @@ def test_usage_exit_codes(capsys):
     capsys.readouterr()
     assert main(["zclasses"]) == 2
     capsys.readouterr()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# the README command-line examples; tests/golden/<name>.<format> holds the
+# stdout each one printed when the corpus was captured
+README_EXAMPLES = {
+    "zclasses_gl2_3": ["zclasses", "gl:2@3^1"],
+    "conjtest_sl2_5": ["conjtest", "sl:2@5^1", "u_beta:1", "u_beta:2"],
+    "h1_mu12_q7": ["h1", "--mu", "12", "--q", "7"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md", "table"])
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_examples_golden(capsys, name, fmt):
+    code, out, _ = run(capsys, *README_EXAMPLES[name], "--format", fmt, "--no-footer")
+    assert code == 0
+    with open(GOLDEN / f"{name}.{fmt}", newline="") as fh:
+        assert out == fh.read()
+
+
+def test_verify_smoke_digest(capsys):
+    code, out, _ = run(capsys, "verify", "smoke", "--format", "json", "--no-footer")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dda398f4b104d9aaafabe10e01de76c2e04ae838782181afbcd7583e10614827"
+    )

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import math
 
 import pytest
 
+from zclasskit.cli import main
 from zclasskit.errors import BadCharacteristic
 from zclasskit.paperlab import (
     CATALOG,
@@ -196,11 +199,19 @@ def test_smoke_suite(capsys):
     assert len(s["experiments"]) == 4
 
 
-def test_paper_suite():
-    rep = verify_suite("paper")
-    assert rep.ok
-    assert rep.failed == 0
-    assert {e.id for e in rep.experiments} == set(CATALOG)
+def test_paper_suite(capsys):
+    # one run through the command line: the summary fields and the pinned
+    # sha256 of the byte-identical JSON stdout
+    code = main(["verify", "paper", "--format", "json", "--no-footer"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["ok"]
+    assert rep["failed"] == 0
+    assert {e["id"] for e in rep["experiments"]} == set(CATALOG)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "81aa0af22eddc09414add7be9575618aa5f0a550e4689faf7b86e6301faec56e"
+    )
 
 
 def test_unknown_suite():
