@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BoundExceeded, ConsistencyError
-from .limits import SEARCH_CAP, max_field
+from . import limits
 
 _TABLE_Q = 512  # full q*q add/mul tables below this
 _LOG_Q = 1 << 16  # exp/log tables below this
@@ -402,23 +402,28 @@ class FieldCtx:
         self._log = log
 
     def _build_small_tables(self) -> None:
-        q = self.q
+        p, q = self.p, self.q
         self._build_exp_log()
         exp, log = self._exp, self._log
         order = q - 1
+        exp2, logs = exp + exp, log[1:]
         mul = [0] * (q * q)
         for a in range(1, q):
             la = log[a]
-            row = a * q
-            for b in range(1, q):
-                mul[row + b] = exp[(la + log[b]) % order]
-        add = [0] * (q * q)
-        for a in range(q):
-            row = a * q
-            for b in range(a, q):
-                s = self._add_raw(a, b)
-                add[row + b] = s
-                add[b * q + a] = s
+            mul[a * q + 1:(a + 1) * q] = [exp2[la + lb] for lb in logs]
+        # digit by digit: with a = a0 + p*a' and b = b0 + p*b',
+        # a + b = (a0 + b0) % p + p*(a' + b'), and blocks[x][d] lists
+        # p*x + (d + b0) % p over b0. Entries are drawn from codes, so the
+        # table holds q int objects however large q*q is.
+        codes = list(range(q))
+        rows = [[0]]
+        for k in range(self.m):
+            blocks = [
+                [codes[p * x + d:p * x + p] + codes[p * x:p * x + d] for d in range(p)]
+                for x in range(p**k)
+            ]
+            rows = [[v for x in hi for v in blocks[x][d]] for hi in rows for d in range(p)]
+        add = [s for row in rows for s in row]
         self._mul_tab = mul
         self._add_tab = add
         self._neg_tab = [self._neg_raw(a) for a in range(q)]
@@ -561,7 +566,7 @@ def make_field(p: int, m: int, *, max_order: int | None = None) -> FieldCtx:
         raise ValueError(f"extension degree must be >= 1, got {m}")
     if not _is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
-    bound = max_field(max_order)
+    bound = limits.max_field(max_order)
     if p**m > bound:
         raise BoundExceeded(f"field order {p}^{m} exceeds bound {bound}")
     ctx = _FIELDS.get((p, m))
@@ -656,9 +661,10 @@ def frobenius(ctx: FieldCtx, base_degree: int, x) -> FqElem:
 def _embedding_root(src: FieldCtx, dst: FieldCtx) -> int:
     if src.m == 1:
         return 0
-    if dst.q > SEARCH_CAP:
+    if dst.q > limits.SEARCH_CAP:
         raise BoundExceeded(
-            f"root search in F_{dst.name} (order {dst.q}) exceeds the scan cap"
+            f"root search in F_{dst.name} (order {dst.q}) exceeds "
+            f"SEARCH_CAP {limits.SEARCH_CAP}"
         )
     modulus = src.modulus
     rho0 = None
@@ -776,8 +782,11 @@ def power_class_count(ctx: FieldCtx, n: int) -> PowerClasses:
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     q = ctx.q
-    if q > _LOG_Q * 16:
-        raise BoundExceeded(f"unit enumeration in F_{ctx.name} is out of bounds")
+    if q > limits.UNIT_SCAN_CAP:
+        raise BoundExceeded(
+            f"unit enumeration in F_{ctx.name} (order {q}) exceeds "
+            f"UNIT_SCAN_CAP {limits.UNIT_SCAN_CAP}"
+        )
     powers = sorted({ctx.pow(u, n) for u in range(1, q)})
     covered = bytearray(q)
     reps = []

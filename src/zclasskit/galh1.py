@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Sequence
 
+from . import limits
 from .errors import BoundExceeded, ConsistencyError
 from .ff import (
     FieldCtx,
@@ -31,16 +32,12 @@ from .ff import (
 from .grpcore import (
     QuotientGroup,
     Subgroup,
-    closure_generate,
+    _greedy_generators,
     instantiate,
     normalizer,
     subgroup_from_members,
 )
 from .matfq import Mat, charpoly, gl_conjugate_test, mat_embed, mat_frobenius
-
-# largest absolute field we will materialize to realize roots of unity;
-# only arithmetic on a handful of elements ever touches it
-H1_FIELD_CAP = 2**62
 
 # all-pairs automorphism validation is quadratic; larger carriers must
 # supply generators
@@ -80,7 +77,7 @@ class TwistedGroup:
             if len(self.elements) <= PAIR_CHECK_LIMIT:
                 gens = self.elements
             elif isinstance(self.elements[0], Mat):
-                gens = _greedy_gens(self.elements)
+                gens = _greedy_generators(self.elements, self.identity)
             else:
                 raise ValueError(
                     f"carrier of size {len(self.elements)} needs generators "
@@ -123,22 +120,6 @@ def make_twisted(
 
 def _sort_key(x):
     return x.data if isinstance(x, Mat) else x
-
-
-def _greedy_gens(mats: Sequence[Mat]) -> list[Mat]:
-    """A small generating set of a multiplicatively closed set of matrices."""
-    ordered = sorted(mats, key=lambda m: m.data)
-    ctx = ordered[0].ctx
-    known = {Mat.identity(ctx, ordered[0].n)}
-    gens: list[Mat] = []
-    for g in ordered:
-        if g in known:
-            continue
-        gens.append(g)
-        known = set(closure_generate(ctx, gens, max_order=len(ordered)).elements)
-        if len(known) == len(ordered):
-            return gens
-    raise ConsistencyError("the supplied matrices are not multiplicatively closed")
 
 
 def twisted_from_matrices(
@@ -439,10 +420,10 @@ def h1_mu_n(q: int, n: int, r_realizing: int | None = None) -> H1Result:
         if np > 1 and (q**r_realizing - 1) % np:
             raise ValueError(f"mu_{np} does not live in F_{q}^{r_realizing}")
         r = r_realizing
-    if q ** (2 * r) > H1_FIELD_CAP:
+    if q ** (2 * r) > limits.H1_FIELD_CAP:
         raise BoundExceeded(
-            f"degree {2 * r} over F_{q} needed for the doubled-degree check "
-            f"exceeds the field cap {H1_FIELD_CAP}"
+            f"degree {2 * r} over F_{q} needed for the doubled-degree check has "
+            f"order {q ** (2 * r)}, above H1_FIELD_CAP {limits.H1_FIELD_CAP}"
         )
     cs = _mu_twisted_classes(p, m, r, q, np, n)
     doubled = _mu_twisted_classes(p, m, 2 * r, q, np, n)
@@ -477,7 +458,7 @@ def kernel_under_map(
         if inclusion(T.frob(a)) != ambient.frob(inclusion(a)):
             raise ValueError("inclusion is not equivariant for the twists")
     if len(T.elements) > PAIR_CHECK_LIMIT and isinstance(T.elements[0], Mat):
-        seconds = _greedy_gens(T.elements)
+        seconds = _greedy_generators(T.elements, T.identity)
     else:
         seconds = T.elements
     for a in T.elements:

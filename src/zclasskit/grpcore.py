@@ -346,66 +346,35 @@ def _check_guard(spec: FamilySpec, ctx: FieldCtx) -> None:
         warnings.warn(msg, stacklevel=3)
 
 
-def _build_gl2(ctx: FieldCtx) -> list[Mat]:
-    q = ctx.q
-    out = []
-    for data in itertools.product(range(q), repeat=4):
-        a, b, c, d = data
-        if ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) != 0:
-            out.append(Mat(ctx, 2, data))
-    return out
+def _build_rows(ctx: FieldCtx, n: int, det_one: bool) -> list[Mat]:
+    """GL_n, or SL_n when det_one, by rank-respecting row enumeration.
 
-
-def _build_sl2(ctx: FieldCtx) -> list[Mat]:
-    q = ctx.q
-    out = []
-    for data in itertools.product(range(q), repeat=4):
-        a, b, c, d = data
-        if ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) == 1:
-            out.append(Mat(ctx, 2, data))
-    return out
-
-
-def _vectors(ctx: FieldCtx, n: int) -> list[tuple[int, ...]]:
-    return [tuple(v) for v in itertools.product(range(ctx.q), repeat=n)]
-
-
-def _build_gl3_like(ctx: FieldCtx, det_one: bool) -> list[Mat]:
-    """Rank-respecting row enumeration; the last row solves the determinant."""
-    q = ctx.q
-    vecs = _vectors(ctx, 3)
-    zero = (0, 0, 0)
-    out = []
-    for r1 in vecs:
-        if r1 == zero:
+    Each row runs over the vectors outside the span S of the rows before
+    it, S grown one row at a time. For SL the last row is c*r0 + s with
+    r0 the least vector outside S and s in S: det is linear in the last
+    row and vanishes on S, so c = det(rows, r0)^-1.
+    """
+    q, add, mul = ctx.q, ctx.add, ctx.mul
+    vecs = list(itertools.product(range(q), repeat=n))
+    out: list[Mat] = []
+    todo = [((), [(0,) * n])]  # (the first rows, concatenated; their span)
+    while todo:
+        prefix, span = todo.pop()
+        inside = set(span)
+        last = len(prefix) == n * (n - 1)
+        if last and det_one:
+            r0 = next(v for v in vecs if v not in inside)
+            c = ctx.inv(Mat._trusted(ctx, n, prefix + r0).det())
+            cr0 = [mul(c, x) for x in r0]
+            out.extend(Mat._trusted(ctx, n, prefix + tuple(map(add, cr0, s))) for s in span)
             continue
-        span1 = {tuple(ctx.mul(s, v) for v in r1) for s in range(q)}
-        for r2 in vecs:
-            if r2 in span1:
-                continue
-            # cofactors along the third row: det = r3 . cof
-            cof = (
-                ctx.sub(ctx.mul(r1[1], r2[2]), ctx.mul(r1[2], r2[1])),
-                ctx.sub(ctx.mul(r1[2], r2[0]), ctx.mul(r1[0], r2[2])),
-                ctx.sub(ctx.mul(r1[0], r2[1]), ctx.mul(r1[1], r2[0])),
-            )
-            if det_one:
-                rows3 = []
-                for r3 in vecs:
-                    acc = 0
-                    for k in range(3):
-                        acc = ctx.add(acc, ctx.mul(r3[k], cof[k]))
-                    if acc == 1:
-                        rows3.append(r3)
-            else:
-                span2 = {
-                    tuple(ctx.add(a[k], b[k]) for k in range(3))
-                    for a in span1
-                    for b in {tuple(ctx.mul(s, v) for v in r2) for s in range(q)}
-                }
-                rows3 = [r3 for r3 in vecs if r3 not in span2]
-            for r3 in rows3:
-                out.append(Mat(ctx, 3, r1 + r2 + r3))
+        rows = [v for v in vecs if v not in inside]
+        if last:
+            out.extend(Mat._trusted(ctx, n, prefix + r) for r in rows)
+            continue
+        for r in rows:
+            mults = [tuple([mul(c, x) for x in r]) for c in range(q)]
+            todo.append((prefix + r, [tuple(map(add, s, t)) for s in span for t in mults]))
     return out
 
 
@@ -468,30 +437,14 @@ def instantiate(
         )
     n = spec.matrix_dim
     gens = standard_generators(spec, ctx)
-    if spec.kind == GL:
-        if n == 2:
-            elements = _build_gl2(ctx)
-        elif n == 3:
-            elements = _build_gl3_like(ctx, det_one=False)
-        else:
-            elements = None
-    elif spec.kind == SL:
-        if n == 2:
-            elements = _build_sl2(ctx)
-        elif n == 3:
-            elements = _build_gl3_like(ctx, det_one=True)
-        else:
-            elements = None
+    if spec.kind in (GL, SL):
+        elements = _build_rows(ctx, n, det_one=spec.kind == SL)
     elif spec.kind in (BOREL_GL, BOREL_SL, UNIPOTENT, HEISENBERG):
         elements = _build_triangular(ctx, n, spec.kind)
     elif spec.kind == DIHEDRAL:
         elements, gens = _build_dihedral(spec.n, ctx)
     else:
         raise ValueError(spec.kind)
-    if elements is None:
-        # dimensions without a direct enumeration: close over the generators
-        table = closure_generate(ctx, gens, max_order=max_order)
-        elements = list(table.elements)
     elements.sort(key=lambda m: m.data)
     table = GroupTable(spec, ctx, elements, gens)
     if table.order != expected:

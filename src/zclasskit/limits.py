@@ -10,9 +10,13 @@ import os
 DEFAULT_MAX_GROUP = 2_000_000
 DEFAULT_MAX_FIELD = 2**20
 
-# Cap on brute-force enumerations inside witness searches (unit groups of
-# centralizer algebras and the like). Not user-facing.
-SEARCH_CAP = 4_000_000
+# Internal caps, not user-facing. Modules read them as limits.NAME at call
+# time; a BoundExceeded names the cap it hit and the value that hit it.
+SEARCH_CAP = 4_000_000  # largest field scanned for a subfield-embedding root
+FULL_TABLE_LIMIT = 100_000  # largest group the table route partitions whole
+H1_FIELD_CAP = 2**62  # largest field built to realize roots of unity
+SPAN_CAP = 300_000  # largest linear span listed in witness searches
+UNIT_SCAN_CAP = 2**20  # largest field whose units power_class_count lists
 
 
 def _env_int(name: str, default: int) -> int:

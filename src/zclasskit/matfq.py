@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
+from . import limits
 from .errors import BoundExceeded, ConsistencyError
 from .ff import (
     FieldCtx,
@@ -34,8 +35,6 @@ from .ff import (
     poly_trim,
 )
 
-_SPAN_CAP = 300_000  # largest linear span materialized during witness searches
-
 
 class Mat:
     """Immutable n x n matrix over a field context; entries are codes."""
@@ -52,6 +51,13 @@ class Mat:
         self._hash = None
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, ctx: FieldCtx, n: int, data: tuple[int, ...]) -> "Mat":
+        """Wrap n*n codes already valid in ctx, skipping the per-entry check."""
+        m = cls.__new__(cls)
+        m.ctx, m.n, m.data, m._hash = ctx, n, data, None
+        return m
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, rows) -> "Mat":
@@ -166,7 +172,7 @@ class Mat:
                     for l in range(n):
                         acc = add(acc, mul(a[ro + l], b[l * n + j]))
                     out[ro + j] = acc
-        return Mat(ctx, n, out)
+        return Mat._trusted(ctx, n, tuple(out))
 
     def scale(self, value) -> "Mat":
         c = _as_code(self.ctx, value)
@@ -403,11 +409,17 @@ def solve(ctx: FieldCtx, rows, rhs) -> tuple[int, ...] | None:
     return tuple(x)
 
 
-def span_vectors(ctx: FieldCtx, basis, cap: int = _SPAN_CAP) -> list[tuple[int, ...]]:
-    """Every linear combination of the basis vectors; guarded by cap."""
+def span_vectors(ctx: FieldCtx, basis, cap: int | None = None) -> list[tuple[int, ...]]:
+    """Every linear combination of the basis vectors; at most cap of them
+    (default limits.SPAN_CAP)."""
     total = ctx.q ** len(basis)
+    knob = "SPAN_CAP" if cap is None else "cap"
+    cap = limits.SPAN_CAP if cap is None else cap
     if total > cap:
-        raise BoundExceeded(f"span of {len(basis)} vectors over F_{ctx.name} exceeds cap")
+        raise BoundExceeded(
+            f"span of {len(basis)} vectors over F_{ctx.name} has {total} elements, "
+            f"above {knob} {cap}"
+        )
     if not basis:
         return [()]
     width = len(basis[0])
@@ -668,7 +680,7 @@ class TransporterSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def elements(self, cap: int = _SPAN_CAP) -> list[Mat]:
+    def elements(self, cap: int | None = None) -> list[Mat]:
         vecs = span_vectors(self.ctx, [m.data for m in self.basis], cap)
         if not self.basis:
             vecs = [(0,) * (self.n * self.n)]
@@ -694,11 +706,6 @@ def transporter_space(A: Mat, B: Mat) -> TransporterSpace:
 
 def centralizer_algebra(A: Mat) -> TransporterSpace:
     return transporter_space(A, A)
-
-
-def algebra_unit_dets(Z: TransporterSpace) -> set[int]:
-    """Determinants of the invertible elements of a matrix algebra span."""
-    return {d for M in Z.elements() if (d := M.det()) != 0}
 
 
 def sl_conjugate_test(A: Mat, B: Mat) -> Mat | None:

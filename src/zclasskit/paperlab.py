@@ -45,6 +45,7 @@ from .matfq import (
     sl_conjugate_test,
 )
 from .zclass import (
+    _refine,
     base_change_probe,
     regular_semisimple_filter,
     regular_unipotent_filter,
@@ -174,21 +175,6 @@ def run_experiment(exp_id: str, params: dict | None = None) -> Experiment:
 # shared helpers
 
 
-def _refine_pairwise(items, equiv) -> list[list[int]]:
-    """Leader-based partition of indices under a pairwise predicate."""
-    leaders: list[int] = []
-    blocks: list[list[int]] = []
-    for i, x in enumerate(items):
-        for leader, block in zip(leaders, blocks):
-            if equiv(items[leader], x):
-                block.append(i)
-                break
-        else:
-            leaders.append(i)
-            blocks.append([i])
-    return blocks
-
-
 def _is_diagonal(m: Mat) -> bool:
     return all(
         m.data[i * m.n + j] == 0 for i in range(m.n) for j in range(m.n) if i != j
@@ -261,10 +247,10 @@ def _run_sl3_unipotent(q: int, allow_bad_characteristic: bool) -> tuple[object, 
         }
         return (rational, part.zclass_count), notes
     mats = [regular_unipotent(3, b, ctx) for b in ctx.units()]
-    rational_blocks = _refine_pairwise(
+    rational_blocks = _refine(
         mats, lambda a, b: sl_conjugate_test(a, b) is not None
     )
-    z_blocks = _refine_pairwise(
+    z_blocks = _refine(
         mats, lambda a, b: structural_z_equivalent(SL, a, b) is not None
     )
     notes = {
@@ -277,7 +263,7 @@ def _run_sl3_unipotent(q: int, allow_bad_characteristic: bool) -> tuple[object, 
 def _run_sln_unipotent_forms(n: int, q: int) -> tuple[object, dict]:
     ctx = parse_field(str(q))
     mats = [regular_unipotent(n, b, ctx) for b in ctx.units()]
-    blocks = _refine_pairwise(
+    blocks = _refine(
         mats, lambda a, b: sl_conjugate_test(a, b) is not None
     )
     notes = {
@@ -303,7 +289,7 @@ def _run_tori_gln(n: int, q: int) -> tuple[object, dict]:
             if poly_is_squarefree(ctx, (c0, c1, c2, 1))
         ]
         mats = [Mat.companion(ctx, f) for f in polys]
-        blocks = _refine_pairwise(
+        blocks = _refine(
             mats, lambda a, b: structural_z_equivalent(GL, a, b) is not None
         )
         computed = len(blocks)
@@ -355,7 +341,7 @@ def _run_heisenberg(q: int) -> tuple[object, dict]:
     ctx = parse_field(str(q))
     table = instantiate(FamilySpec(UNIPOTENT, 3), ctx)
     mats = [heisenberg_element(t, ctx) for t in ctx.units()]
-    blocks = _refine_pairwise(
+    blocks = _refine(
         mats, lambda a, b: z_equivalent(table, a, b) is not None
     )
     notes = {

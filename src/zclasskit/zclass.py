@@ -41,7 +41,7 @@ from .grpcore import (
     instantiate,
     subgroups_conjugate,
 )
-from .limits import max_group
+from . import limits
 from .matfq import (
     Mat,
     centralizer_algebra,
@@ -53,10 +53,6 @@ from .matfq import (
     minpoly,
     sl_conjugate_test,
 )
-
-# full-group partitions and table-route scans are reserved for groups
-# this small; larger groups go through seed filters or the structural route
-FULL_TABLE_LIMIT = 100_000
 
 
 def group_label(table: GroupTable) -> str:
@@ -188,10 +184,11 @@ def z_partition(
     in full, and the partition-level invariants (identity block = center,
     single block iff abelian) are re-verified.
     """
-    if element_filter is None and table.order > FULL_TABLE_LIMIT:
+    if element_filter is None and table.order > limits.FULL_TABLE_LIMIT:
         raise BoundExceeded(
             f"full partition of a group of order {table.order} exceeds "
-            f"{FULL_TABLE_LIMIT}; pass an element filter to pick seeds"
+            f"FULL_TABLE_LIMIT {limits.FULL_TABLE_LIMIT}; pass an element filter "
+            "to pick seeds"
         )
     classes = conjugacy_classes(table)
     if element_filter is None:
@@ -468,7 +465,7 @@ def _ext_centralizer_order(
         return family_order(family, ext)
     if family.kind in (GL, SL):
         alg = centralizer_algebra(g_up)
-        cap = max_group(max_order)
+        cap = limits.max_group(max_order)
         if ext.q**alg.dim > cap:
             raise BoundExceeded(
                 f"commutant of dimension {alg.dim} over F_{ext.name} exceeds {cap}"
@@ -549,16 +546,14 @@ class StabilizeResult:
 
 
 def _refine(items: Sequence, equiv) -> tuple[tuple[int, ...], ...]:
-    """Leader-based partition; deterministic in input order."""
-    leaders: list[tuple[int, object]] = []
+    """Index blocks of items under equiv, each led by its first (least) index."""
     blocks: list[list[int]] = []
     for i, x in enumerate(items):
-        for bi, (_, y) in enumerate(leaders):
-            if equiv(y, x):
-                blocks[bi].append(i)
+        for block in blocks:
+            if equiv(items[block[0]], x):
+                block.append(i)
                 break
         else:
-            leaders.append((i, x))
             blocks.append([i])
     return tuple(tuple(b) for b in blocks)
 
@@ -570,11 +565,11 @@ def _seed_partition(
     structural_ok = family.kind in (GL, SL) and all(
         s.is_scalar() or _commutant_if_regular(s) is not None for s in seeds_up
     )
-    if structural_ok and order > FULL_TABLE_LIMIT:
+    if structural_ok and order > limits.FULL_TABLE_LIMIT:
         return _refine(
             seeds_up, lambda a, b: structural_z_equivalent(family.kind, a, b) is not None
         )
-    if order <= max_group(max_order):
+    if order <= limits.max_group(max_order):
         tbl = instantiate(family, ext, max_order=max_order)
         return _refine(seeds_up, lambda a, b: z_equivalent(tbl, a, b) is not None)
     raise BoundExceeded(

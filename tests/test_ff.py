@@ -214,6 +214,16 @@ def test_raw_mul_agrees_with_tables(p, m):
         assert [raw(a, b) for b in partners] == [table[a * q + b] for b in partners], a
 
 
+@pytest.mark.parametrize("p,m", [f for f in TABLE_FIELDS if f[1] >= 2 or f[0] < 20],
+                         ids=lambda v: str(v))
+def test_add_and_neg_tables_agree_with_raw(p, m):
+    ctx = make_field(p, m)
+    q = ctx.q
+    for a in range(q):
+        assert [ctx._add_raw(a, b) for b in range(q)] == ctx._add_tab[a * q:(a + 1) * q], a
+    assert [ctx._neg_raw(a) for a in range(q)] == ctx._neg_tab
+
+
 @pytest.mark.parametrize("p,m", RAW_FIELDS, ids=lambda v: str(v))
 def test_raw_mul_agrees_with_polynomial_reduction(p, m):
     ctx = make_field(p, m, max_order=p**m)

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from zclasskit import galh1
+from zclasskit import limits
 from zclasskit.errors import BoundExceeded
 from zclasskit.ff import make_field, mult_generator, power_class_count
 from zclasskit.galh1 import (
@@ -367,8 +367,8 @@ def test_h1_mu_n_input_errors(monkeypatch):
         h1_mu_n(6, 2)
     with pytest.raises(ValueError, match="positive"):
         h1_mu_n(5, 0)
-    monkeypatch.setattr(galh1, "H1_FIELD_CAP", 10**6)
-    with pytest.raises(BoundExceeded):
+    monkeypatch.setattr(limits, "H1_FIELD_CAP", 10**6)
+    with pytest.raises(BoundExceeded, match="above H1_FIELD_CAP 1000000"):
         h1_mu_n(7, 11)
 
 

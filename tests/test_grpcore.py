@@ -7,7 +7,7 @@ import random
 import pytest
 
 from zclasskit.errors import BadCharacteristic, BoundExceeded, ConsistencyError
-from zclasskit.ff import make_field, mult_generator
+from zclasskit.ff import make_field, mult_generator, prime_power
 from zclasskit.grpcore import (
     BOREL_GL,
     BOREL_SL,
@@ -31,6 +31,7 @@ from zclasskit.grpcore import (
     parse_element_spec,
     parse_group_spec,
     quotient,
+    standard_generators,
     subgroup_from_members,
     subgroups_conjugate,
     whole_group,
@@ -66,15 +67,37 @@ def sl3_f4():
         (UNIPOTENT, 3, F5, 125),
         (HEISENBERG, 3, F5, 125),
         (UNIPOTENT, 4, F3, 729),
+        (GL, 4, F2, 20160),
+        pytest.param(SL, 4, F2, 20160, marks=pytest.mark.filterwarnings("ignore:characteristic")),
     ],
 )
 def test_family_orders(kind, n, ctx, expected):
-    spec = FamilySpec(kind, n)
+    spec = FamilySpec(kind, n, allow_bad_characteristic=True)
     assert family_order(spec, ctx) == expected
     table = instantiate(spec, ctx)
     assert table.order == expected
     ids = {m.data for m in table.elements}
     assert len(ids) == expected
+
+
+_SMALL_LINEAR = [
+    (kind, n, q)
+    for kind in (GL, SL)
+    for n in (2, 3)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
+    if family_order(FamilySpec(kind, n), make_field(*prime_power(q))) <= 12_000
+]
+
+
+@pytest.mark.filterwarnings("ignore:characteristic")
+@pytest.mark.parametrize("kind,n,q", _SMALL_LINEAR)
+def test_row_enumerator_matches_closure(kind, n, q):
+    # the closure over the standard generators is the independent reference
+    ctx = make_field(*prime_power(q))
+    spec = FamilySpec(kind, n, allow_bad_characteristic=True)
+    closure = closure_generate(ctx, standard_generators(spec, ctx))
+    want = sorted(m.data for m in closure.elements)
+    assert [m.data for m in instantiate(spec, ctx).elements] == want
 
 
 def test_gl3_order_formula():

@@ -19,7 +19,7 @@ from zclasskit.grpcore import (
     instantiate,
 )
 from zclasskit.matfq import Mat, centralizer_algebra, is_unipotent, regular_unipotent, weil_embed
-from zclasskit import zclass
+from zclasskit import limits, zclass
 from zclasskit.zclass import (
     base_change_probe,
     fusion_count,
@@ -121,8 +121,8 @@ def test_partition_with_filter_sl2_f5():
 
 def test_partition_bound(monkeypatch):
     table = instantiate(FamilySpec(SL, 2), F3)
-    monkeypatch.setattr(zclass, "FULL_TABLE_LIMIT", 10)
-    with pytest.raises(BoundExceeded):
+    monkeypatch.setattr(limits, "FULL_TABLE_LIMIT", 10)
+    with pytest.raises(BoundExceeded, match="order 24 exceeds FULL_TABLE_LIMIT 10"):
         z_partition(table)
 
 
