@@ -44,8 +44,8 @@ FILTERS = {
 }
 
 
-def _group(args) -> tuple[FamilySpec, object]:
-    spec, ctx = parse_group_spec(args.group, max_field_order=args.max_field)
+def _group(args, text: str) -> tuple[FamilySpec, object]:
+    spec, ctx = parse_group_spec(text, max_field_order=args.max_field)
     if args.allow_bad_characteristic:
         spec = FamilySpec(spec.kind, spec.n, allow_bad_characteristic=True)
     return spec, ctx
@@ -64,7 +64,7 @@ def _strip_runtime(obj):
 
 
 def _cmd_zclasses(args):
-    spec, ctx = _group(args)
+    spec, ctx = _group(args, args.group)
     table = instantiate(spec, ctx, max_order=args.max_group)
     pred = None
     if args.filter is not None:
@@ -80,7 +80,7 @@ def _cmd_zclasses(args):
 
 
 def _cmd_centralizer(args):
-    spec, ctx = _group(args)
+    spec, ctx = _group(args, args.group)
     table = instantiate(spec, ctx, max_order=args.max_group)
     g = parse_element_spec(spec, table.ctx, args.element)
     try:
@@ -111,7 +111,7 @@ def _cmd_centralizer(args):
 
 
 def _cmd_conjtest(args):
-    spec, ctx = _group(args)
+    spec, ctx = _group(args, args.group)
     if spec.kind in (GL, SL):
         a = parse_element_spec(spec, ctx, args.first)
         b = parse_element_spec(spec, ctx, args.second)
@@ -156,11 +156,7 @@ def _cmd_conjtest(args):
 
 
 def _cmd_probe(args):
-    spec, ctx = parse_group_spec(
-        f"{args.family}@{args.q}", max_field_order=args.max_field
-    )
-    if args.allow_bad_characteristic:
-        spec = FamilySpec(spec.kind, spec.n, allow_bad_characteristic=True)
+    spec, ctx = _group(args, f"{args.family}@{args.q}")
     if len(args.elements) % 2:
         raise ValueError("probe needs an even number of elements (pairs)")
     mats = [parse_element_spec(spec, ctx, t) for t in args.elements]
@@ -191,11 +187,9 @@ def _cmd_h1(args):
     else:
         if args.group is None or args.frobenius is None:
             raise ValueError("pass either --mu N --q Q or --group SPEC --frobenius R")
-        spec, ctx = parse_group_spec(args.group, max_field_order=args.max_field)
+        spec, ctx = _group(args, args.group)
         if ctx is None:
             raise ValueError("twisted classes need a family over a named field")
-        if args.allow_bad_characteristic:
-            spec = FamilySpec(spec.kind, spec.n, allow_bad_characteristic=True)
         r = args.frobenius
         if r < 1:
             raise ValueError("--frobenius must be a positive degree")

@@ -53,11 +53,6 @@ def poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c[:i])
 
 
-def poly_deg(f: tuple[int, ...]) -> int:
-    """Degree, with deg 0 = -1 for the zero polynomial."""
-    return len(f) - 1
-
-
 def poly_add(ctx: "FieldCtx", f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     if len(f) < len(g):
         f, g = g, f
@@ -163,23 +158,6 @@ def poly_deriv(ctx: "FieldCtx", f: tuple[int, ...]) -> tuple[int, ...]:
 def poly_is_squarefree(ctx: "FieldCtx", f: tuple[int, ...]) -> bool:
     """True iff f has no repeated irreducible factor (perfect base field)."""
     return poly_gcd(ctx, f, poly_deriv(ctx, f)) == (1,)
-
-
-def poly_str(f: tuple[int, ...], var: str = "x") -> str:
-    if not f:
-        return "0"
-    parts = []
-    for i in range(len(f) - 1, -1, -1):
-        c = f[i]
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{var}" if c == 1 else f"{c}*{var}")
-        else:
-            parts.append(f"{var}^{i}" if c == 1 else f"{c}*{var}^{i}")
-    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +472,6 @@ class FieldCtx:
 
     def encode(self, coeffs) -> int:
         return self._encode(coeffs)
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.m == 1
 
     def __repr__(self) -> str:
         return f"FieldCtx(F_{self.name})"

@@ -21,6 +21,7 @@ from .matfq import (
     mat_order,
     mat_parse,
     regular_unipotent,
+    span_step,
 )
 
 GL = "gl"
@@ -282,20 +283,9 @@ class GroupTable:
         """Verify the stored generators reach every element (BFS once)."""
         if self._gens_certified:
             return
-        seen = {self._identity_id}
-        queue = [self._identity_id]
-        while queue:
-            x = queue.pop()
-            mx = self.elements[x]
-            for g in self.gens:
-                y = self.index[(mx * g).data]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != self.order:
-            raise ConsistencyError(
-                f"generators reach {len(seen)} of {self.order} elements"
-            )
+        reached = len(_close([self.elements[self._identity_id]], self.gens, within=self.index))
+        if reached != self.order:
+            raise ConsistencyError(f"generators reach {reached} of {self.order} elements")
         self._gens_certified = True
 
 
@@ -372,9 +362,7 @@ def _build_rows(ctx: FieldCtx, n: int, det_one: bool) -> list[Mat]:
         if last:
             out.extend(Mat._trusted(ctx, n, prefix + r) for r in rows)
             continue
-        for r in rows:
-            mults = [tuple([mul(c, x) for x in r]) for c in range(q)]
-            todo.append((prefix + r, [tuple(map(add, s, t)) for s in span for t in mults]))
+        todo.extend((prefix + r, span_step(ctx, span, r)) for r in rows)
     return out
 
 
@@ -455,6 +443,33 @@ def instantiate(
     return table
 
 
+def _close(start, gens, within=None, cap=None) -> list[Mat]:
+    """FIFO closure of the start elements under right multiplication by gens.
+
+    Returns start followed by the new elements in discovery order. A
+    product outside within (a set or dict of encodings) means the member
+    set is not closed; more than cap elements means the bound is hit.
+    """
+    out = list(start)
+    seen = {m.data for m in out}
+    head = 0
+    while head < len(out):
+        cur = out[head]
+        head += 1
+        for g in gens:
+            nxt = cur * g
+            d = nxt.data
+            if d in seen:
+                continue
+            if within is not None and d not in within:
+                raise ConsistencyError("member set is not closed")
+            seen.add(d)
+            out.append(nxt)
+            if cap is not None and len(out) > cap:
+                raise BoundExceeded(f"closure exceeded bound {cap}")
+    return out
+
+
 def closure_generate(
     ctx: FieldCtx,
     gens,
@@ -472,21 +487,7 @@ def closure_generate(
             raise ValueError("generators must share one context and size")
         if g.det() == 0:
             raise ValueError("generators must be invertible")
-    bound = max_group(max_order)
-    ident = Mat.identity(ctx, n)
-    elements = [ident]
-    seen = {ident.data}
-    head = 0
-    while head < len(elements):
-        cur = elements[head]
-        head += 1
-        for g in gens:
-            nxt = cur * g
-            if nxt.data not in seen:
-                seen.add(nxt.data)
-                elements.append(nxt)
-                if len(elements) > bound:
-                    raise BoundExceeded(f"closure exceeded bound {bound}")
+    elements = _close([Mat.identity(ctx, n)], gens, cap=max_group(max_order))
     table = GroupTable(family, ctx, elements, gens)
     table._gens_certified = True
     return table
@@ -555,27 +556,17 @@ class Subgroup:
 
 
 def _greedy_generators(members_sorted: list[Mat], ident: Mat) -> list[Mat]:
+    """Least-encoding generators: each member not yet reached joins the set."""
     gens: list[Mat] = []
-    closure = {ident.data}
+    closure = [ident]
+    reached = {ident.data}
     member_set = {m.data for m in members_sorted}
     for m in members_sorted:
-        if m.data in closure:
+        if m.data in reached:
             continue
         gens.append(m)
-        # re-close under the enlarged generator set
-        frontier = [x for x in members_sorted if x.data in closure]
-        seen = set(closure)
-        queue = list(frontier)
-        while queue:
-            cur = queue.pop()
-            for g in gens:
-                nxt = cur * g
-                if nxt.data not in seen:
-                    if nxt.data not in member_set:
-                        raise ConsistencyError("member set is not closed")
-                    seen.add(nxt.data)
-                    queue.append(nxt)
-        closure = seen
+        closure = _close(closure, gens, within=member_set)
+        reached = {x.data for x in closure}
         if len(closure) == len(members_sorted):
             break
     if len(closure) != len(members_sorted):

@@ -4,6 +4,12 @@ Matrices are immutable: a context, a dimension n, and a flat row-major
 tuple of n*n element codes. The data tuple doubles as the canonical
 encoding, so tuple comparison of .data is the canonical matrix order.
 
+Linear algebra runs through one rref: inverses above 3x3 reduce [A | I],
+kernels and solves reduce their systems (only the rational form's chain
+search keeps an incremental echelon). Determinants above 3x3 use forward
+elimination alone, smaller ones closed forms. Spans grow one vector at a
+time through span_step, which fixes their listing order.
+
 Canonical-form machinery (charpoly, minpoly, invariant factors, rational
 form) runs through one Smith-normal-form routine over F_q[x]; conjugacy
 tests and witness searches are built on top of it plus transporter
@@ -212,7 +218,25 @@ class Mat:
             m2 = ctx.sub(ctx.mul(a[3], a[7]), ctx.mul(a[4], a[6]))
             t = ctx.sub(ctx.mul(a[0], m0), ctx.mul(a[1], m1))
             return ctx.add(t, ctx.mul(a[2], m2))
-        det, _ = self._det_inv_gauss(want_inverse=False)
+        # forward elimination on A alone: det is the signed product of pivots
+        mul, sub = ctx.mul, ctx.sub
+        rows = [list(r) for r in self.rows()]
+        det = 1
+        for c in range(n):
+            piv = next((i for i in range(c, n) if rows[i][c]), None)
+            if piv is None:
+                return 0
+            if piv != c:
+                rows[c], rows[piv] = rows[piv], rows[c]
+                det = ctx.neg(det)
+            top = rows[c]
+            det = mul(det, top[c])
+            inv = ctx.inv(top[c])
+            for row in rows[c + 1 :]:
+                if row[c]:
+                    f = mul(inv, row[c])
+                    for k in range(c + 1, n):
+                        row[k] = sub(row[k], mul(f, top[k]))
         return det
 
     def det_inv(self) -> tuple[int, "Mat | None"]:
@@ -240,30 +264,12 @@ class Mat:
                         )
                         adj[i * 3 + j] = minor if (i + j) % 2 == 0 else ctx.neg(minor)
             return d, Mat(ctx, n, [ctx.mul(dinv, v) for v in adj])
-        return self._det_inv_gauss(want_inverse=True)
-
-    def _det_inv_gauss(self, want_inverse: bool) -> tuple[int, "Mat | None"]:
-        ctx, n = self.ctx, self.n
-        rows = [list(r) for r in self.rows()]
-        aug = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-        det = 1
-        for c in range(n):
-            piv = next((i for i in range(c, n) if aug[i][c]), None)
-            if piv is None:
-                return 0, None
-            if piv != c:
-                aug[c], aug[piv] = aug[piv], aug[c]
-                det = ctx.neg(det)
-            det = ctx.mul(det, aug[c][c])
-            inv = ctx.inv(aug[c][c])
-            aug[c] = [ctx.mul(inv, v) for v in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [ctx.sub(aug[i][k], ctx.mul(f, aug[c][k])) for k in range(2 * n)]
-        if not want_inverse:
-            return det, None
-        return det, Mat(ctx, n, [aug[i][n + j] for i in range(n) for j in range(n)])
+        d = self.det()
+        if d == 0:
+            return 0, None
+        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows())]
+        red, _ = rref(ctx, aug)
+        return d, Mat._trusted(ctx, n, tuple(v for row in red for v in row[n:]))
 
     def inverse(self) -> "Mat":
         d, inv = self.det_inv()
@@ -271,19 +277,12 @@ class Mat:
             raise ZeroDivisionError("matrix is singular")
         return inv
 
-    def is_invertible(self) -> bool:
-        return self.det() != 0
-
     def trace(self) -> int:
         ctx = self.ctx
         acc = 0
         for i in range(self.n):
             acc = ctx.add(acc, self.data[i * self.n + i])
         return acc
-
-    def transpose(self) -> "Mat":
-        n = self.n
-        return Mat(self.ctx, n, [self.data[j * n + i] for i in range(n) for j in range(n)])
 
     def is_identity(self) -> bool:
         n = self.n
@@ -353,6 +352,7 @@ def mat_order(A: Mat) -> int:
 
 def rref(ctx: FieldCtx, rows) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form and pivot column indices."""
+    mul, sub = ctx.mul, ctx.sub
     rows = [list(r) for r in rows]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -364,11 +364,11 @@ def rref(ctx: FieldCtx, rows) -> tuple[list[list[int]], list[int]]:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = ctx.inv(rows[r][c])
-        rows[r] = [ctx.mul(inv, v) for v in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [ctx.sub(rows[i][k], ctx.mul(f, rows[r][k])) for k in range(nc)]
+        top = rows[r] = [mul(inv, v) for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(row, top)]
         pivots.append(c)
         r += 1
         if r == nr:
@@ -422,14 +422,17 @@ def span_vectors(ctx: FieldCtx, basis, cap: int | None = None) -> list[tuple[int
         )
     if not basis:
         return [()]
-    width = len(basis[0])
-    combos = [(0,) * width]
+    span = [(0,) * len(basis[0])]
     for b in basis:
-        scaled = [tuple(ctx.mul(s, v) for v in b) for s in ctx.elements()]
-        combos = [
-            tuple(ctx.add(c[k], sv[k]) for k in range(width)) for c in combos for sv in scaled
-        ]
-    return combos
+        span = span_step(ctx, span, b)
+    return span
+
+
+def span_step(ctx: FieldCtx, span, vec) -> list[tuple[int, ...]]:
+    """The span grown by vec, listed as s + c*vec for s in span, then c in F_q."""
+    add, mul = ctx.add, ctx.mul
+    mults = [tuple([mul(c, x) for x in vec]) for c in ctx.elements()]
+    return [tuple(map(add, s, t)) for s in span for t in mults]
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +687,7 @@ class TransporterSpace:
         vecs = span_vectors(self.ctx, [m.data for m in self.basis], cap)
         if not self.basis:
             vecs = [(0,) * (self.n * self.n)]
-        return [Mat(self.ctx, self.n, v) for v in vecs]
+        return [Mat._trusted(self.ctx, self.n, v) for v in vecs]
 
 
 def transporter_space(A: Mat, B: Mat) -> TransporterSpace:
@@ -701,7 +704,7 @@ def transporter_space(A: Mat, B: Mat) -> TransporterSpace:
                 row[k * n + j] = ctx.sub(row[k * n + j], A.data[i * n + k])
             rows.append(row)
     basis = kernel_basis(ctx, rows, n * n)
-    return TransporterSpace(ctx, n, tuple(Mat(ctx, n, v) for v in basis))
+    return TransporterSpace(ctx, n, tuple(Mat._trusted(ctx, n, v) for v in basis))
 
 
 def centralizer_algebra(A: Mat) -> TransporterSpace:

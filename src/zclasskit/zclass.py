@@ -129,29 +129,17 @@ class ZPartition:
         return rows
 
 
-def _block_fingerprint(z: Subgroup) -> tuple:
-    return (z.order, z.is_abelian(), z.order_multiset())
-
-
 def _partition_classes(table: GroupTable, chosen) -> tuple[ZBlock, ...]:
     """Group the chosen conjugacy classes by centralizer conjugacy."""
-    acc: list[dict] = []
-    for c in chosen:
-        z = centralizer(table, c.rep_id)
-        fp = _block_fingerprint(z)
-        placed = False
-        for blk in acc:
-            if blk["fp"] != fp:
-                continue
-            if subgroups_conjugate(table, blk["z"], z) is not None:
-                blk["classes"].append(c.rep_id)
-                placed = True
-                break
-        if not placed:
-            acc.append({"rep": c.rep_id, "classes": [c.rep_id], "z": z, "fp": fp})
-    return tuple(
-        ZBlock(b["rep"], tuple(b["classes"]), b["z"], b["fp"]) for b in acc
-    )
+    zs = [centralizer(table, c.rep_id) for c in chosen]
+    blocks = _refine(zs, lambda a, b: subgroups_conjugate(table, a, b) is not None)
+    out = []
+    for block in blocks:
+        z = zs[block[0]]
+        order, abelian, _, element_orders = z.fingerprint()
+        reps = tuple(chosen[i].rep_id for i in block)
+        out.append(ZBlock(reps[0], reps, z, (order, abelian, element_orders)))
+    return tuple(out)
 
 
 def regular_unipotent_filter(ctx: FieldCtx, n: int):

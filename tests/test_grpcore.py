@@ -450,6 +450,21 @@ def test_subgroup_validation():
     assert sub.is_abelian()
 
 
+def test_subgroup_generators_least_encoding():
+    gl2 = instantiate(FamilySpec(GL, 2), F3)
+    borel = subgroup_from_members(gl2, [m for m in gl2.elements if m[1, 0] == 0])
+    assert borel.order == 12
+    assert [m.rows() for m in borel.gens] == [((1, 0), (0, 2)), ((1, 1), (0, 1)), ((2, 0), (0, 1))]
+    gl3 = instantiate(FamilySpec(GL, 3), F2)
+    g = Mat.from_rows(F2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    z = subgroup_from_members(gl3, [m for m in gl3.elements if m * g == g * m])
+    assert z.order == 8
+    assert [m.rows() for m in z.gens] == [
+        ((1, 0, 0), (0, 1, 0), (0, 1, 1)),
+        ((1, 0, 1), (0, 1, 0), (0, 0, 1)),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # quotients
 

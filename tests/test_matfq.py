@@ -114,7 +114,7 @@ def _det_leibniz(A: Mat) -> int:
 
 
 @pytest.mark.parametrize("ctx", [F3, F5, F4], ids=lambda c: c.name)
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_det_matches_permutation_expansion(ctx, n):
     rng = random.Random(7 + n)
     for _ in range(25):
@@ -140,6 +140,21 @@ def test_det_inv_examples():
         found += 1
         assert A * inv == Mat.identity(F5, 3)
         assert inv * A == Mat.identity(F5, 3)
+    # n >= 4 goes through elimination instead of the closed forms
+    for ctx in (F5, F4):
+        for n in (4, 5):
+            ident = Mat.identity(ctx, n)
+            for _ in range(10):
+                A = Mat(ctx, n, [rng.randrange(ctx.q) for _ in range(n * n)])
+                d, inv = A.det_inv()
+                assert d == A.det()
+                if inv is None:
+                    assert d == 0
+                    continue
+                assert A * inv == ident and inv * A == ident
+            rows = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n - 1)]
+            rows.append([ctx.add(a, b) for a, b in zip(rows[0], rows[1])])
+            assert Mat.from_rows(ctx, rows).det_inv() == (0, None)
 
 
 def test_pow_and_inverse():
@@ -193,6 +208,12 @@ def test_span_vectors_counts():
     vecs = span_vectors(F3, [(1, 0), (0, 1)])
     assert len(vecs) == 9
     assert len(set(vecs)) == 9
+    # the order is canonical: s + c*b for s in the span so far, then c
+    assert vecs == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+    assert span_vectors(F4, [(1, 2, 0), (3, 0, 1)]) == [
+        (0, 0, 0), (3, 0, 1), (1, 0, 2), (2, 0, 3), (1, 2, 0), (2, 2, 1), (0, 2, 2), (3, 2, 3),
+        (2, 3, 0), (1, 3, 1), (3, 3, 2), (0, 3, 3), (3, 1, 0), (0, 1, 1), (2, 1, 2), (1, 1, 3),
+    ]
 
 
 # ---------------------------------------------------------------------------
