@@ -542,7 +542,9 @@ def make_field(p: int, m: int, *, max_order: int | None = None) -> FieldCtx:
         raise ValueError(f"characteristic must be prime, got {p}")
     bound = limits.max_field(max_order)
     if p**m > bound:
-        raise BoundExceeded(f"field order {p}^{m} exceeds bound {bound}")
+        raise BoundExceeded(
+            f"field order {p}^{m} exceeds bound {bound} (ZK_MAX_FIELD / --max-field)"
+        )
     ctx = _FIELDS.get((p, m))
     if ctx is None:
         ctx = FieldCtx(p, m, _least_irreducible(p, m))

@@ -14,7 +14,7 @@ materialized but never enumerated), and for coset tables of quotients.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Sequence
 
@@ -417,6 +417,8 @@ def h1_mu_n(q: int, n: int, r_realizing: int | None = None) -> H1Result:
     np = _prime_to_p_part(n, p)
     r = _ord_mod(q, np) if np > 1 else 1
     if r_realizing is not None:
+        if r_realizing < 1:
+            raise ValueError("realizing degree must be positive")
         if np > 1 and (q**r_realizing - 1) % np:
             raise ValueError(f"mu_{np} does not live in F_{q}^{r_realizing}")
         r = r_realizing

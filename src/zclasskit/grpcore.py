@@ -421,7 +421,8 @@ def instantiate(
     bound = max_group(max_order)
     if expected > bound:
         raise BoundExceeded(
-            f"{spec.label()}@{ctx.name} has order {expected}, above bound {bound}"
+            f"{spec.label()}@{ctx.name} has order {expected}, above bound {bound} "
+            "(ZK_MAX_GROUP / --max-group)"
         )
     n = spec.matrix_dim
     gens = standard_generators(spec, ctx)
@@ -466,7 +467,9 @@ def _close(start, gens, within=None, cap=None) -> list[Mat]:
             seen.add(d)
             out.append(nxt)
             if cap is not None and len(out) > cap:
-                raise BoundExceeded(f"closure exceeded bound {cap}")
+                raise BoundExceeded(
+                    f"closure exceeded bound {cap} (ZK_MAX_GROUP / --max-group)"
+                )
     return out
 
 
@@ -663,17 +666,9 @@ def centralizer(table: GroupTable, g_id: int) -> Subgroup:
     kind = table.family.kind if table.family else None
     if kind in (GL, SL):
         alg = centralizer_algebra(g)
-        if table.ctx.q**alg.dim <= 65536:
-            want_det = 1 if kind == SL else None
-            alg_members = {
-                M
-                for M in alg.elements()
-                if (d := M.det()) != 0 and (want_det is None or d == want_det)
-            }
-            if alg_members != set(members):
-                raise ConsistencyError(
-                    "group centralizer disagrees with the centralizer algebra"
-                )
+        want = 1 if kind == SL else None
+        if table.ctx.q**alg.dim <= 65536 and set(alg.units(want)) != set(members):
+            raise ConsistencyError("group centralizer disagrees with the centralizer algebra")
     return sub
 
 

@@ -8,7 +8,9 @@ Linear algebra runs through one rref: inverses above 3x3 reduce [A | I],
 kernels and solves reduce their systems (only the rational form's chain
 search keeps an incremental echelon). Determinants above 3x3 use forward
 elimination alone, smaller ones closed forms. Spans grow one vector at a
-time through span_step, which fixes their listing order.
+time through span_step, which fixes their listing order; kernel bases are
+in reduced row echelon form, so every kernel and transporter space lists
+in ascending order and the least element with a property is the first hit.
 
 Canonical-form machinery (charpoly, minpoly, invariant factors, rational
 form) runs through one Smith-normal-form routine over F_q[x]; conjugacy
@@ -18,7 +20,6 @@ with the least canonical encoding wins.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -377,7 +378,8 @@ def rref(ctx: FieldCtx, rows) -> tuple[list[list[int]], list[int]]:
 
 
 def kernel_basis(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
-    """Canonical kernel basis: one vector per free column, ascending."""
+    """Canonical kernel basis in reduced row echelon form: span_vectors lists
+    its span ascending, each coefficient being the entry at a pivot column."""
     red, pivots = rref(ctx, rows)
     pivot_set = set(pivots)
     basis = []
@@ -388,8 +390,8 @@ def kernel_basis(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
         vec[free] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = ctx.neg(red[r][free])
-        basis.append(tuple(vec))
-    return basis
+        basis.append(vec)
+    return [tuple(v) for v in rref(ctx, basis)[0]]
 
 
 def solve(ctx: FieldCtx, rows, rhs) -> tuple[int, ...] | None:
@@ -576,12 +578,6 @@ def _ech_insert(ctx: FieldCtx, ech: list[tuple[int, list[int]]], vec) -> bool:
     return True
 
 
-def _kernel_vectors_sorted(ctx: FieldCtx, M: Mat) -> list[tuple[int, ...]]:
-    basis = kernel_basis(ctx, [list(r) for r in M.rows()], M.n)
-    vecs = span_vectors(ctx, basis)
-    return sorted(vecs)
-
-
 def _apply(A: Mat, vec: tuple[int, ...]) -> tuple[int, ...]:
     ctx, n = A.ctx, A.n
     out = []
@@ -616,7 +612,10 @@ def rcf(A: Mat) -> RcfResult:
     form = Mat(ctx, n, data)
 
     order = sorted(range(len(facs)), key=lambda i: len(facs[i]), reverse=True)
-    kernels = {f: _kernel_vectors_sorted(ctx, poly_of_matrix(ctx, f, A)) for f in set(facs)}
+    kernels = {
+        f: span_vectors(ctx, kernel_basis(ctx, poly_of_matrix(ctx, f, A).rows(), n))
+        for f in set(facs)
+    }
 
     def search(pos: int, ech, chains):
         if pos == len(order):
@@ -684,10 +683,19 @@ class TransporterSpace:
         return len(self.basis)
 
     def elements(self, cap: int | None = None) -> list[Mat]:
+        """Every element, ascending (the basis is in reduced echelon form)."""
         vecs = span_vectors(self.ctx, [m.data for m in self.basis], cap)
         if not self.basis:
             vecs = [(0,) * (self.n * self.n)]
         return [Mat._trusted(self.ctx, self.n, v) for v in vecs]
+
+    def units(self, det: int | None = None, cap: int | None = None):
+        """The invertible elements, ascending; only those of determinant det
+        when det is given."""
+        for X in self.elements(cap):
+            d = X.det()
+            if d and (det is None or d == det):
+                yield X
 
 
 def transporter_space(A: Mat, B: Mat) -> TransporterSpace:
@@ -714,32 +722,22 @@ def centralizer_algebra(A: Mat) -> TransporterSpace:
 def sl_conjugate_test(A: Mat, B: Mat) -> Mat | None:
     """Determinant-1 witness X with X B X^-1 = A, or None.
 
-    Route: one invertible transporter X0 fixes the determinant coset
-    (det X0) * det(units of the centralizer algebra of B); a unit-det
-    witness exists iff that coset contains 1. The witness returned is the
-    least one by canonical encoding.
+    Route: with equal invariant factors, the transporter space T(A, B) holds
+    every conjugating X and lists ascending, so its first determinant-1 unit
+    is the least witness by canonical encoding. For A == B the witness is
+    the identity, not the least determinant-1 element of C(A).
     """
     A._compat(B)
     if A.det() != 1 or B.det() != 1:
         raise ValueError("inputs must have determinant 1")
     if A == B:
         return Mat.identity(A.ctx, A.n)
-    X0 = gl_conjugate_test(A, B)
-    if X0 is None:
+    if invariant_factors(A) != invariant_factors(B):
         return None
-    target = A.ctx.inv(X0.det())
-    best = None
-    for U in centralizer_algebra(B).elements():
-        if U.det() != target:
-            continue
-        cand = X0 * U
-        if best is None or cand.data < best.data:
-            best = cand
-    if best is None:
-        return None
-    if best.det() != 1 or best * B != A * best:
+    X = next(transporter_space(A, B).units(1), None)
+    if X is not None and (X.det() != 1 or X * B != A * X):
         raise ConsistencyError("unit-determinant witness failed verification")
-    return best
+    return X
 
 
 # ---------------------------------------------------------------------------

@@ -456,11 +456,10 @@ def _ext_centralizer_order(
         cap = limits.max_group(max_order)
         if ext.q**alg.dim > cap:
             raise BoundExceeded(
-                f"commutant of dimension {alg.dim} over F_{ext.name} exceeds {cap}"
+                f"commutant of dimension {alg.dim} over F_{ext.name} exceeds {cap} "
+                "(ZK_MAX_GROUP / --max-group)"
             )
-        if family.kind == GL:
-            return sum(1 for m in alg.elements(cap) if m.det() != 0)
-        return sum(1 for m in alg.elements(cap) if m.det() == 1)
+        return sum(1 for _ in alg.units(1 if family.kind == SL else None, cap))
     tbl = instantiate(family, ext, max_order=max_order)
     return centralizer(tbl, tbl.id_of(g_up)).order
 
@@ -561,7 +560,8 @@ def _seed_partition(
         tbl = instantiate(family, ext, max_order=max_order)
         return _refine(seeds_up, lambda a, b: z_equivalent(tbl, a, b) is not None)
     raise BoundExceeded(
-        f"{family.label()} over F_{ext.name} has order {order}, beyond both routes"
+        f"{family.label()} over F_{ext.name} has order {order}, beyond both routes "
+        "(ZK_MAX_GROUP / --max-group)"
     )
 
 

@@ -178,6 +178,10 @@ def test_h1_mu_mode(capsys):
     assert "--q" in err
     code, _, err = run(capsys, "h1")
     assert code == 2
+    for degree in ("0", "-1"):
+        code, out, err = run(capsys, "h1", "--mu", "4", "--q", "5", "--degree", degree)
+        assert (code, out) == (2, "")
+        assert "realizing degree must be positive" in err
 
 
 def test_h1_group_mode_matches_fixed_group_classes(capsys):

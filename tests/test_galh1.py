@@ -367,6 +367,9 @@ def test_h1_mu_n_input_errors(monkeypatch):
         h1_mu_n(6, 2)
     with pytest.raises(ValueError, match="positive"):
         h1_mu_n(5, 0)
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="realizing degree must be positive"):
+            h1_mu_n(5, 4, r_realizing=degree)
     monkeypatch.setattr(limits, "H1_FIELD_CAP", 10**6)
     with pytest.raises(BoundExceeded, match="above H1_FIELD_CAP 1000000"):
         h1_mu_n(7, 11)

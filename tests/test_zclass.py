@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -15,10 +16,19 @@ from zclasskit.grpcore import (
     SL,
     FamilySpec,
     centralizer,
+    closure_generate,
     conjugacy_classes,
     instantiate,
 )
-from zclasskit.matfq import Mat, centralizer_algebra, is_unipotent, regular_unipotent, weil_embed
+from zclasskit.matfq import (
+    Mat,
+    centralizer_algebra,
+    charpoly,
+    is_unipotent,
+    minpoly,
+    regular_unipotent,
+    weil_embed,
+)
 from zclasskit import limits, zclass
 from zclasskit.zclass import (
     base_change_probe,
@@ -124,6 +134,23 @@ def test_partition_bound(monkeypatch):
     monkeypatch.setattr(limits, "FULL_TABLE_LIMIT", 10)
     with pytest.raises(BoundExceeded, match="order 24 exceeds FULL_TABLE_LIMIT 10"):
         z_partition(table)
+
+
+def test_max_bounds_name_their_knob():
+    group, field = "(ZK_MAX_GROUP / --max-group)", "(ZK_MAX_FIELD / --max-field)"
+    u = regular_unipotent(2, 1, F5)
+    gl2, borel2 = FamilySpec(GL, 2), FamilySpec(BOREL_GL, 2)
+    cases = [
+        (lambda: instantiate(gl2, F5, max_order=10), "above bound 10 " + group),
+        (lambda: closure_generate(F5, [u], max_order=3), "exceeded bound 3 " + group),
+        (lambda: zclass._ext_centralizer_order(gl2, F5, u, 10), "exceeds 10 " + group),
+        (lambda: zclass._seed_partition(borel2, F5, [u], 10), "beyond both routes " + group),
+        (lambda: make_field(3, 5, max_order=10), "exceeds bound 10 " + field),
+    ]
+    for call, text in cases:
+        with pytest.raises(BoundExceeded) as exc:
+            call()
+        assert text in str(exc.value)
 
 
 def test_partition_summary_shape():
@@ -241,6 +268,41 @@ def test_structural_regular_semisimple_gl3_f5():
     for block in blocks:
         assert len({shapes[i] for i in block}) == 1
     assert sorted(len(b) for b in blocks) == [4, 40, 40]
+
+
+def _random_regular(rng, ctx, n: int, kind: str) -> Mat:
+    while True:
+        g = Mat(ctx, n, [rng.randrange(ctx.q) for _ in range(n * n)])
+        if (g.det() == 1 if kind == SL else g.det() != 0) and centralizer_algebra(g).dim == n:
+            return g
+
+
+@pytest.mark.parametrize("ctx", [F3, F4, F5], ids=lambda c: c.name)
+def test_structural_witness_transports(ctx):
+    # w g w^-1 is a generator of h's commutant: it commutes with h and its
+    # minimal polynomial is the characteristic polynomial of g
+    rng = random.Random(ctx.q)
+    hits = 0
+    for kind, n in itertools.product((GL, SL), (2, 3)):
+        for i in range(8):
+            g = _random_regular(rng, ctx, n, kind)
+            if i % 2:
+                h = _random_regular(rng, ctx, n, kind)
+            else:
+                # a regular element of g's commutant, moved by a conjugation
+                gens = [y for y in centralizer_algebra(g).elements()
+                        if y.det() == g.det() and centralizer_algebra(y).dim == n]
+                X = _random_regular(rng, ctx, n, GL)
+                h = X * rng.choice(gens) * X.inverse()
+            w = structural_z_equivalent(kind, g, h)
+            if w is None:
+                continue
+            hits += 1
+            y = w * g * w.inverse()
+            assert y * h == h * y
+            assert minpoly(y) == charpoly(g)
+            assert w.det() != 0 and (kind == GL or w.det() == 1)
+    assert hits >= 16
 
 
 def test_structural_rejects_non_regular():
