@@ -21,6 +21,7 @@ from .grpcore import (
     SL,
     FamilySpec,
     centralizer,
+    element_conjugator,
     instantiate,
     parse_element_spec,
     parse_group_spec,
@@ -133,12 +134,8 @@ def _cmd_conjtest(args):
         for lit, m in ((args.first, a), (args.second, b)):
             if not table.contains(m):
                 raise ValueError(f"element {lit!r} is not a member of {args.group}")
-        witness = None
-        for i in table.ids():
-            x = table.mat_of(i)
-            if x * a * x.inverse() == b:
-                witness = x
-                break
+        wid = element_conjugator(table, table.id_of(a), table.id_of(b))
+        witness = None if wid is None else table.mat_of(wid)
         route = "table-scan"
         label = group_label(table)
     payload = {

@@ -242,14 +242,6 @@ class Cocycle:
     value: object
     ambient: TwistedGroup
 
-    def class_rep(self):
-        return twisted_classes(self.ambient).class_of(self.value)
-
-    @property
-    def is_trivial_class(self) -> bool:
-        cs = twisted_classes(self.ambient)
-        return cs.class_of(self.value) == cs.class_of(self.ambient.identity)
-
 
 def _twisted_norm(T: TwistedGroup, x):
     acc = x

@@ -2,8 +2,14 @@
 
 Families are instantiated as full element tables (lists of Mat, indexed
 by canonical encoding), with closed-form order counts asserted against
-the enumeration. Conjugacy machinery runs on certified generator sets so
-orbit computations cannot silently under-generate.
+the enumeration. Class and subgroup work runs on element ids: each
+conjugation orbit is walked once under the table's small generating set,
+recording a Schreier tree, so every member b of the orbit of its root r
+has a transversal t_b with t_b r t_b^-1 = b. A root's centralizer is its
+stabilizer, certified by |C(r)|·|cl(r)| = |G|; any other centralizer is
+the conjugate t_b C(r) t_b^-1, cached per id. Subgroup conjugacy and
+normalizers test only the cosets t_b t_a^-1 C(a) that a pivot element a
+can be sent along, never the whole group.
 """
 from __future__ import annotations
 
@@ -35,6 +41,9 @@ DIHEDRAL = "dihedral"
 KINDS = (GL, SL, BOREL_GL, BOREL_SL, UNIPOTENT, HEISENBERG, DIHEDRAL)
 
 _DET_ONE_KINDS = (SL, BOREL_SL)
+
+# largest commutant algebra whose units a centralizer lists
+_COMMUTANT_CAP = 65536
 
 
 @dataclass(frozen=True)
@@ -220,19 +229,63 @@ def standard_generators(spec: FamilySpec, ctx: FieldCtx) -> list[Mat]:
     raise ValueError(spec.kind)
 
 
+def _linear_generators(spec: FamilySpec, ctx: FieldCtx) -> tuple[list[Mat], list[Mat]]:
+    """A small generating set of GL_n(q) or SL_n(q) and its proven fallback.
+
+    With w the least primitive element: h = diag(w, 1, ..., 1) for GL and
+    diag(w, w^-1, 1, ..., 1) for SL, x = I + E_12, and c the n-cycle
+    e_i -> e_(i+1) signed to determinant 1. The fallback {h, x, c}
+    generates: conjugating x by h spans the root group x_12(F_q) (the
+    F_p-span of the powers of w, or of w^2 for SL, is F_q), and c carries
+    it to every x_(i,i+1) and x_(n,1), whose commutators give every root
+    group, hence SL_n; det h = w adds GL_n. h is dropped when it is scalar
+    (q = 2, or SL_2(F_3), where x and c alone generate over the prime
+    field). These groups are 2-generated (Steinberg, Generators for
+    simple groups, 1962); the pair {h, c*x} is tried first, certified by
+    the table, and generated every table tried.
+    """
+    n = spec.n
+    w = mult_generator(ctx).code
+    diag = [w] + [1] * (n - 1) if spec.kind == GL else [w, ctx.inv(w)] + [1] * (n - 2)
+    h = Mat.diagonal(ctx, diag)
+    x = _transvection(ctx, n, 0, 1, 1)
+    data = [0] * (n * n)
+    for i in range(n):
+        data[((i + 1) % n) * n + i] = 1
+    data[n - 1] = 1 if n % 2 else ctx.neg(1)
+    c = Mat(ctx, n, data)
+    if h.is_scalar():
+        return [x, c], [x, c]
+    return [h, c * x], [h, x, c]
+
+
 # ---------------------------------------------------------------------------
 # group tables
 
 
 class GroupTable:
-    """Immutable element table with canonical-encoding index."""
+    """Immutable element table with canonical-encoding index.
+
+    Besides the elements it carries the per-table state of the class
+    engine: the conjugation orbits walked so far, as a root id per element
+    and a Schreier tree (parent id, generator index), all compact arrays
+    allocated on the first walk, and the centralizers computed so far.
+    """
 
     __slots__ = (
-        "family", "ctx", "elements", "index", "order", "gens",
-        "_gens_certified", "_classes", "_identity_id",
+        "family", "ctx", "elements", "index", "order", "gens", "_gens_inv",
+        "_fallback", "_gens_certified", "_classes", "_identity_id",
+        "_orbit_root", "_orbit_parent", "_orbit_gen", "_orbits", "_centralizers",
     )
 
-    def __init__(self, family: FamilySpec | None, ctx: FieldCtx, elements: list[Mat], gens: list[Mat]):
+    def __init__(
+        self,
+        family: FamilySpec | None,
+        ctx: FieldCtx,
+        elements: list[Mat],
+        gens: list[Mat],
+        fallback: list[Mat] | None = None,
+    ):
         self.family = family
         self.ctx = ctx
         self.elements = tuple(elements)
@@ -240,14 +293,25 @@ class GroupTable:
         if len(self.index) != len(self.elements):
             raise ConsistencyError("duplicate elements in group table")
         self.order = len(self.elements)
-        self.gens = tuple(gens)
+        self._set_gens(gens)
+        self._fallback = fallback
         self._gens_certified = False
-        self._classes = None
         n = self.elements[0].n
         ident = Mat.identity(ctx, n)
         if ident.data not in self.index:
             raise ConsistencyError("group table lacks the identity")
         self._identity_id = self.index[ident.data]
+
+    def _set_gens(self, gens) -> None:
+        """Install a generating set and drop everything walked under the old one."""
+        self.gens = tuple(gens)
+        self._gens_inv = tuple(g.inverse() for g in self.gens)
+        self._classes = None
+        self._orbit_root = None  # array('i'): root id of the walk that reached each id, -1 before
+        self._orbit_parent = None  # array('i'): Schreier-tree parent id (a root is its own)
+        self._orbit_gen = None  # array('b'): index of the generator on the tree edge
+        self._orbits: dict = {}  # root id -> array of orbit ids in walk order
+        self._centralizers: dict[int, tuple] = {}  # id -> parts, see _centralizer_parts
 
     @property
     def n(self) -> int:
@@ -279,14 +343,45 @@ class GroupTable:
         label = self.family.label() if self.family else "closure"
         return f"GroupTable({label}@{self.ctx.name}, order {self.order})"
 
-    def _certify_generators(self) -> None:
-        """Verify the stored generators reach every element (BFS once)."""
+    def _reached(self) -> int:
+        """How many elements the generators reach from the identity, by a
+        breadth-first walk on ids."""
+        from array import array  # an extension module: loaded by table work only
+
+        elements, index = self.elements, self.index
+        seen = bytearray(self.order)
+        seen[self._identity_id] = 1
+        queue = array("i", [self._identity_id])
+        for x in queue:  # the walk appends to queue as it goes
+            mx = elements[x]
+            for g in self.gens:
+                y = index.get((mx * g).data)
+                if y is None:
+                    raise ConsistencyError("a generator leads outside the group table")
+                if not seen[y]:
+                    seen[y] = 1
+                    queue.append(y)
+        return len(queue)
+
+    def _certify_generators(self) -> bool:
+        """Verify the stored generators reach every element (BFS once).
+
+        Generators that fall short are replaced by the fallback set, which
+        drops every orbit and centralizer found so far; the return value
+        says whether that happened.
+        """
         if self._gens_certified:
-            return
-        reached = len(_close([self.elements[self._identity_id]], self.gens, within=self.index))
+            return False
+        reached = self._reached()
+        switched = reached != self.order and self._fallback is not None
+        if switched:
+            self._set_gens(self._fallback)
+            self._fallback = None
+            reached = self._reached()
         if reached != self.order:
             raise ConsistencyError(f"generators reach {reached} of {self.order} elements")
         self._gens_certified = True
+        return switched
 
 
 class VirtualGroup:
@@ -425,17 +520,20 @@ def instantiate(
             "(ZK_MAX_GROUP / --max-group)"
         )
     n = spec.matrix_dim
-    gens = standard_generators(spec, ctx)
+    fallback = None
     if spec.kind in (GL, SL):
         elements = _build_rows(ctx, n, det_one=spec.kind == SL)
+        gens, fallback = _linear_generators(spec, ctx)
     elif spec.kind in (BOREL_GL, BOREL_SL, UNIPOTENT, HEISENBERG):
         elements = _build_triangular(ctx, n, spec.kind)
+        gens = standard_generators(spec, ctx)
     elif spec.kind == DIHEDRAL:
         elements, gens = _build_dihedral(spec.n, ctx)
     else:
         raise ValueError(spec.kind)
     elements.sort(key=lambda m: m.data)
-    table = GroupTable(spec, ctx, elements, gens)
+    elements = tuple(elements)  # the list goes before the table builds its index
+    table = GroupTable(spec, ctx, elements, gens, fallback)
     if table.order != expected:
         raise ConsistencyError(
             f"enumerated {table.order} elements of {spec.label()}@{ctx.name}, "
@@ -473,6 +571,40 @@ def _close(start, gens, within=None, cap=None) -> list[Mat]:
     return out
 
 
+def _adjoin(group: list[Mat], gens: list[Mat], g: Mat, within) -> list[Mat]:
+    """<K, g> for the group K = group generated by gens, as K followed by
+    new right cosets K x (Dimino's algorithm).
+
+    A union of right cosets of K is closed under right multiplication by
+    every generator once each coset rep times each generator lands in it,
+    so only reps are multiplied by generators, never all of K. A product
+    outside within (a set or dict of encodings) means the member set is
+    not closed.
+    """
+    out = list(group)
+    seen = {m.data for m in out}
+    if g.data in seen:
+        return out
+    gens = list(gens) + [g]
+    reps = [out[0]]  # K's own rep, the identity
+    head = 0
+    while head < len(reps):
+        r = reps[head]
+        head += 1
+        for s in gens:
+            x = r * s
+            if x.data in seen:
+                continue
+            reps.append(x)
+            for k in group:
+                y = k * x
+                if y.data not in within:
+                    raise ConsistencyError("member set is not closed")
+                seen.add(y.data)
+                out.append(y)
+    return out
+
+
 def closure_generate(
     ctx: FieldCtx,
     gens,
@@ -507,14 +639,15 @@ class Subgroup:
     under a real table.
     """
 
-    __slots__ = ("parent", "members", "member_set", "gens", "_finger")
+    __slots__ = ("parent", "members", "member_set", "gens", "_finger", "_pivot")
 
     def __init__(self, parent, members: list[Mat], gens: list[Mat]):
         self.parent = parent
         self.members = tuple(sorted(members, key=lambda m: m.data))
         self.member_set = frozenset(self.members)
         self.gens = tuple(gens)
-        self._finger = None
+        self._finger = [None]  # one cell, shared by conjugate centralizers
+        self._pivot = None  # id of the element this is the centralizer of, if built so
         if parent.order % len(self.members):
             raise ConsistencyError("subgroup order violates Lagrange")
 
@@ -545,14 +678,15 @@ class Subgroup:
         return tuple(sorted(counts.items()))
 
     def fingerprint(self):
-        if self._finger is None:
-            self._finger = (
+        cell = self._finger
+        if cell[0] is None:
+            cell[0] = (
                 self.order,
                 self.is_abelian(),
                 self.center_order(),
                 self.order_multiset(),
             )
-        return self._finger
+        return cell[0]
 
     def __repr__(self) -> str:
         return f"Subgroup(order {self.order} of {self.parent!r})"
@@ -567,8 +701,8 @@ def _greedy_generators(members_sorted: list[Mat], ident: Mat) -> list[Mat]:
     for m in members_sorted:
         if m.data in reached:
             continue
+        closure = _adjoin(closure, gens, m, member_set)
         gens.append(m)
-        closure = _close(closure, gens, within=member_set)
         reached = {x.data for x in closure}
         if len(closure) == len(members_sorted):
             break
@@ -596,9 +730,113 @@ def subgroup_from_members(parent, members) -> Subgroup:
 
 
 def whole_group(table: GroupTable) -> Subgroup:
-    sub = Subgroup(table, list(table.elements), list(table.gens))
     table._certify_generators()
-    return sub
+    return Subgroup(table, list(table.elements), list(table.gens))
+
+
+# ---------------------------------------------------------------------------
+# conjugation orbits
+
+
+def _walk(table: GroupTable, seed: int) -> int:
+    """Root id of seed's conjugation orbit, walking the orbit first when no
+    earlier walk reached seed.
+
+    The walk is breadth-first over x -> g x g^-1 for the table generators,
+    with seed as root; each new member records its parent and generator.
+    """
+    from array import array  # an extension module: loaded by table work only
+
+    root = table._orbit_root
+    if root is None:
+        root = table._orbit_root = array("i", [-1]) * table.order
+        table._orbit_parent = array("i", [0]) * table.order
+        table._orbit_gen = array("b", bytes(table.order))
+    if root[seed] >= 0:
+        return root[seed]
+    parent, via = table._orbit_parent, table._orbit_gen
+    elements, index = table.elements, table.index
+    conj = list(enumerate(zip(table.gens, table._gens_inv)))
+    root[seed] = parent[seed] = seed
+    orbit = array("i", [seed])
+    head = 0
+    while head < len(orbit):
+        x = orbit[head]
+        head += 1
+        mx = elements[x]
+        for k, (g, gi) in conj:
+            y = index[(g * mx * gi).data]
+            if root[y] < 0:
+                root[y], parent[y], via[y] = seed, x, k
+                orbit.append(y)
+    table._orbits[seed] = orbit
+    return seed
+
+
+def _transversal(table: GroupTable, b: int) -> tuple[Mat, Mat]:
+    """(t, t^-1) with t r t^-1 = b, r the root of b's (walked) orbit: the
+    generators on b's Schreier-tree path, read from b up to r."""
+    parent, via = table._orbit_parent, table._orbit_gen
+    t = ti = table.elements[table.identity_id]
+    while parent[b] != b:
+        k = via[b]
+        t, ti = t * table.gens[k], table._gens_inv[k] * ti
+        b = parent[b]
+    return t, ti
+
+
+def _schreier_stabilizer(table: GroupTable, r: int) -> list[Mat]:
+    """C(r) closed from the Schreier generators t_c^-1 g t_b of r's orbit
+    (c = g b g^-1), which generate it (Schreier's lemma); the closure stops
+    once it holds |G| / |cl(r)| elements."""
+    elements, index = table.elements, table.index
+    parent, via = table._orbit_parent, table._orbit_gen
+    gens, gens_inv = table.gens, table._gens_inv
+    orbit = table._orbits[r]
+    g_r = elements[r]
+    ident = elements[table.identity_id]
+    t, ti = {r: ident}, {r: ident}
+    for b in orbit[1:]:  # walk order: a parent comes before its children
+        p, k = parent[b], via[b]
+        t[b], ti[b] = gens[k] * t[p], ti[p] * gens_inv[k]
+    want = table.order // len(orbit)
+    found, seen, schreier = [ident], {ident.data}, []
+    for b in orbit:
+        if len(found) >= want:
+            break
+        mb = elements[b]
+        for g, gi in zip(gens, gens_inv):
+            s = ti[index[(g * mb * gi).data]] * g * t[b]
+            if s.data in seen:
+                continue
+            if s * g_r != g_r * s:
+                raise ConsistencyError("Schreier generator does not centralize")
+            found = _adjoin(found, schreier, s, index)
+            schreier.append(s)
+            seen = {m.data for m in found}
+    return [elements[index[m.data]] for m in found]  # the table's own objects
+
+
+def _stabilizer(table: GroupTable, r: int) -> list[Mat]:
+    """The members of C(r): for GL/SL the units of the commutant algebra of
+    r (of determinant 1 for SL), each checked to lie in the table and to
+    commute with r; for other families, or a commutant too large to list,
+    the Schreier closure."""
+    g = table.elements[r]
+    kind = table.family.kind if table.family else None
+    if kind in (GL, SL):
+        if g.is_scalar():
+            return list(table.elements)
+        alg = centralizer_algebra(g)
+        if table.ctx.q**alg.dim <= _COMMUTANT_CAP:
+            members = []
+            for x in alg.units(1 if kind == SL else None):
+                i = table.index.get(x.data)
+                if i is None or x * g != g * x:
+                    raise ConsistencyError("commutant unit outside the centralizer")
+                members.append(table.elements[i])
+            return members
+    return _schreier_stabilizer(table, r)
 
 
 # ---------------------------------------------------------------------------
@@ -616,37 +854,26 @@ class ConjClass:
 
 
 def conjugacy_classes(table: GroupTable) -> tuple[ConjClass, ...]:
-    """Partition by conjugation orbits under the certified generators."""
+    """Conjugation orbits under the certified generators, each led by its
+    least-encoding member; for |G| <= 5000 each is checked against its
+    stabilizer, |cl(a)|·|C(a)| = |G|."""
     if table._classes is not None:
         return table._classes
     table._certify_generators()
-    geninfo = [(g, g.inverse()) for g in table.gens]
     order_ids = sorted(table.ids(), key=lambda i: table.elements[i].data)
-    assigned = bytearray(table.order)
     classes = []
+    done = set()
     small = table.order <= 5000
     for seed in order_ids:
-        if assigned[seed]:
+        root = _walk(table, seed)
+        if root in done:
             continue
-        orbit = {seed}
-        queue = [seed]
-        while queue:
-            x = queue.pop()
-            mx = table.elements[x]
-            for g, gi in geninfo:
-                y = table.index[(g * mx * gi).data]
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        for y in orbit:
-            assigned[y] = 1
+        done.add(root)
+        orbit = table._orbits[root]
         if table.order % len(orbit):
             raise ConsistencyError("class size fails orbit-stabilizer divisibility")
-        if small:
-            rep = table.elements[seed]
-            stab = sum(1 for m in table.elements if m * rep == rep * m)
-            if len(orbit) * stab != table.order:
-                raise ConsistencyError("orbit-stabilizer product mismatch")
+        if small and len(orbit) * len(_centralizer_parts(table, seed)[0]) != table.order:
+            raise ConsistencyError("orbit-stabilizer product mismatch")
         classes.append(ConjClass(seed, tuple(sorted(orbit))))
     if sum(c.size for c in classes) != table.order:
         raise ConsistencyError("conjugacy classes do not partition the group")
@@ -655,21 +882,50 @@ def conjugacy_classes(table: GroupTable) -> tuple[ConjClass, ...]:
 
 
 def centralizer(table: GroupTable, g_id: int) -> Subgroup:
-    """{x : xg = gx} by scan; cross-validated against the matrix algebra
-    for general/special linear families."""
-    g = table.elements[g_id]
-    members = [m for m in table.elements if m * g == g * m]
-    if len(members) == table.order:
-        sub = whole_group(table)
-    else:
-        sub = subgroup_from_members(table, members)
-    kind = table.family.kind if table.family else None
-    if kind in (GL, SL):
-        alg = centralizer_algebra(g)
-        want = 1 if kind == SL else None
-        if table.ctx.q**alg.dim <= 65536 and set(alg.units(want)) != set(members):
-            raise ConsistencyError("group centralizer disagrees with the centralizer algebra")
+    """{x : xg = gx}, cached per id.
+
+    For the root r of g's orbit this is the stabilizer of r, certified by
+    |C(r)|·|cl(r)| = |G|; for g = t r t^-1 it is t C(r) t^-1, built from
+    the table's own elements and sharing C(r)'s fingerprint.
+    """
+    sub = Subgroup.__new__(Subgroup)
+    sub.parent = table
+    sub.members, sub.member_set, sub.gens, sub._finger = _centralizer_parts(table, g_id)
+    sub._pivot = g_id
     return sub
+
+
+def _centralizer_parts(table: GroupTable, g_id: int) -> tuple:
+    """(members, member set, generators, fingerprint cell) of C(g), from
+    the table's cache. The cache keeps these parts rather than subgroups,
+    so it holds no reference back to the table. Once this returns, g's
+    orbit is certified to be all of cl(g)."""
+    parts = table._centralizers.get(g_id)
+    if parts is not None:
+        return parts
+    root = _walk(table, g_id)
+    if root != g_id:
+        r_members, _, r_gens, finger = _centralizer_parts(table, root)
+        t, ti = _transversal(table, g_id)
+        elements, index = table.elements, table.index
+        members = sorted(
+            (elements[index[(t * m * ti).data]] for m in r_members), key=lambda m: m.data
+        )
+        gens = tuple(elements[index[(t * m * ti).data]] for m in r_gens)
+        parts = tuple(members), frozenset(members), gens, finger
+    else:
+        members = _stabilizer(table, g_id)
+        if len(members) * len(table._orbits[g_id]) != table.order:
+            if table._certify_generators():  # the orbit was walked by a non-generating set
+                return _centralizer_parts(table, g_id)
+            raise ConsistencyError("orbit-stabilizer product mismatch")
+        if len(members) == table.order:
+            sub = whole_group(table)
+        else:
+            sub = subgroup_from_members(table, members)
+        parts = sub.members, sub.member_set, sub.gens, sub._finger
+    table._centralizers[g_id] = parts
+    return parts
 
 
 def center(table: GroupTable) -> Subgroup:
@@ -680,36 +936,93 @@ def center(table: GroupTable) -> Subgroup:
     return subgroup_from_members(table, members)
 
 
+# ---------------------------------------------------------------------------
+# conjugators
+
+
+def _transporter(table: GroupTable, a: int, b: int) -> list[Mat]:
+    """{x : x a x^-1 = b}: the coset t_b t_a^-1 C(a), empty when b is not
+    conjugate to a."""
+    za = _centralizer_parts(table, a)[0]
+    if table._orbit_root[b] != table._orbit_root[a]:
+        return []
+    _, tai = _transversal(table, a)
+    tb, _ = _transversal(table, b)
+    s = tb * tai
+    return [s * c for c in za]
+
+
+def element_conjugator(table: GroupTable, a: int, b: int) -> int | None:
+    """Least-encoding x with x a x^-1 = b (ids a, b), as an id, or None."""
+    xs = _transporter(table, a, b)
+    return table.id_of(min(xs, key=lambda x: x.data)) if xs else None
+
+
+def _pivot(table: GroupTable, H1: Subgroup, H2: Subgroup) -> int:
+    """An element a of H1 with few candidates |cl(a) ∩ H2|·|C(a)|: the
+    element a centralizer was built for, else the best generator of H1."""
+    if H1._pivot is not None:
+        return H1._pivot
+    h2_ids = [table.id_of(m) for m in H2.members]
+    best = None
+    for m in H1.gens:
+        a = table.id_of(m)
+        root = _walk(table, a)
+        hits = sum(table._orbit_root[b] == root for b in h2_ids)
+        cost = hits * (table.order // len(table._orbits[root]))
+        if best is None or cost < best[0]:
+            best = (cost, a)
+    return best[1]
+
+
+def _conjugators(table: GroupTable, H1: Subgroup, H2: Subgroup):
+    """Every x with x H1 x^-1 = H2, as ids, ascending by encoding.
+
+    Such an x sends the pivot a in H1 to some b in cl(a) ∩ H2, so x lies
+    in t_b t_a^-1 C(a); only those cosets are tried (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4). When
+    H1 is C(a) itself, x H1 x^-1 = C(b) for the whole coset, which is H2
+    exactly when b is central in H2 (the orders being equal); otherwise
+    each candidate takes the generator image test.
+    """
+    a = _pivot(table, H1, H2)
+    _centralizer_parts(table, a)  # certifies a's orbit as all of cl(a)
+    root = table._orbit_root[a]
+    bs = [m for m in H2.members if table._orbit_root[table.id_of(m)] == root]
+    whole_cosets = H1._pivot == a
+    if whole_cosets:
+        bs = [b for b in bs if all(b * g == g * b for g in H2.gens)]
+    candidates = [x for b in bs for x in _transporter(table, a, table.id_of(b))]
+    candidates.sort(key=lambda x: x.data)
+    for x in candidates:
+        if not whole_cosets:
+            xi = x.inverse()
+            if not all((x * g * xi) in H2.member_set for g in H1.gens):
+                continue
+        yield table.id_of(x)
+
+
 def normalizer(table: GroupTable, H: Subgroup) -> Subgroup:
-    """{x : x H x^-1 = H}; generator images decide (orders being equal)."""
-    members = []
-    for x in table.elements:
-        xi = x.inverse()
-        if all((x * g * xi) in H.member_set for g in H.gens):
-            members.append(x)
+    """{x : x H x^-1 = H}: every hit of the conjugator walk from H to H."""
+    if H.order == table.order:
+        return whole_group(table)
+    members = [table.elements[i] for i in _conjugators(table, H, H)]
     if len(members) == table.order:
         return whole_group(table)
     return subgroup_from_members(table, members)
 
 
 def subgroups_conjugate(table: GroupTable, H1: Subgroup, H2: Subgroup) -> int | None:
-    """Least id x with x H1 x^-1 = H2, or None; fingerprints prefilter."""
+    """Id of the least-encoding x with x H1 x^-1 = H2, or None; fingerprints
+    prefilter. Equal member sets short-cut to the identity's id, which need
+    not be the least element of N(H1)."""
     if H1.order != H2.order:
         return None
     if H1.member_set == H2.member_set:
         return table.identity_id
     if H1.fingerprint() != H2.fingerprint():
         return None
-    for eid in sorted(table.ids(), key=lambda i: table.elements[i].data):
-        x = table.elements[eid]
-        xi = x.inverse()
-        if all((x * g * xi) in H2.member_set for g in H1.gens):
-            return eid
-    return None
-
-
-def element_order(table: GroupTable, eid: int) -> int:
-    return mat_order(table.elements[eid])
+    return next(_conjugators(table, H1, H2), None)
 
 
 # ---------------------------------------------------------------------------

@@ -285,12 +285,6 @@ class Mat:
             acc = ctx.add(acc, self.data[i * self.n + i])
         return acc
 
-    def is_identity(self) -> bool:
-        n = self.n
-        return all(
-            self.data[i * n + j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-        )
-
     def is_scalar(self) -> bool:
         n = self.n
         c = self.data[0]
@@ -392,23 +386,6 @@ def kernel_basis(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
             vec[pc] = ctx.neg(red[r][free])
         basis.append(vec)
     return [tuple(v) for v in rref(ctx, basis)[0]]
-
-
-def solve(ctx: FieldCtx, rows, rhs) -> tuple[int, ...] | None:
-    """One solution of A x = b (free variables set to 0), or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(ctx, aug)
-    ncols = len(rows[0]) if rows else 0
-    for r in range(len(red)):
-        if any(red[r][:ncols]):
-            continue
-        if red[r][ncols]:
-            return None
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        if pc < ncols:
-            x[pc] = red[r][ncols]
-    return tuple(x)
 
 
 def span_vectors(ctx: FieldCtx, basis, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -738,54 +715,6 @@ def sl_conjugate_test(A: Mat, B: Mat) -> Mat | None:
     if X is not None and (X.det() != 1 or X * B != A * X):
         raise ConsistencyError("unit-determinant witness failed verification")
     return X
-
-
-# ---------------------------------------------------------------------------
-# multiplicative Jordan decomposition
-
-
-@dataclass(frozen=True)
-class JordanPair:
-    """Commuting factorization g = g_s * g_u into semisimple and unipotent parts."""
-
-    g_s: Mat
-    g_u: Mat
-
-    @property
-    def product(self) -> Mat:
-        return self.g_s * self.g_u
-
-
-def jordan_decomposition(g: Mat) -> JordanPair:
-    """Split g by element order: the prime-to-p power is the semisimple part.
-
-    With ord(g) = p^a * t, the exponent e = 0 mod p^a, 1 mod t gives
-    g_s = g^e and g_u = g * g_s^-1; both are powers of g, so they commute
-    with everything commuting with g.
-    """
-    if g.det() == 0:
-        raise ValueError("singular matrices admit no multiplicative Jordan split")
-    p = g.ctx.p
-    order = mat_order(g)
-    a = 0
-    t = order
-    while t % p == 0:
-        t //= p
-        a += 1
-    if a == 0:
-        gs, gu = g, Mat.identity(g.ctx, g.n)
-    elif t == 1:
-        gs, gu = Mat.identity(g.ctx, g.n), g
-    else:
-        pa = p**a
-        e = pa * pow(pa, -1, t)
-        gs = g**e
-        gu = g ** (1 - e)
-    if gs * gu != g or gu * gs != g:
-        raise ConsistencyError("Jordan parts do not multiply back")
-    if not is_semisimple(gs) or not is_unipotent(gu):
-        raise ConsistencyError("Jordan parts fail their defining predicates")
-    return JordanPair(gs, gu)
 
 
 # ---------------------------------------------------------------------------

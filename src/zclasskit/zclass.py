@@ -142,6 +142,13 @@ def _partition_classes(table: GroupTable, chosen) -> tuple[ZBlock, ...]:
     return tuple(out)
 
 
+def _class_function(keep):
+    """Mark a predicate as conjugation-invariant: z_partition tests it on
+    each class rep only."""
+    keep.class_function = True
+    return keep
+
+
 def regular_unipotent_filter(ctx: FieldCtx, n: int):
     """Predicate keeping unipotent matrices with full-length Jordan block."""
     ident = Mat.identity(ctx, n)
@@ -154,12 +161,12 @@ def regular_unipotent_filter(ctx: FieldCtx, n: int):
             power = power * d
         return any(power.data)
 
-    return keep
+    return _class_function(keep)
 
 
 def regular_semisimple_filter(ctx: FieldCtx):
     """Predicate keeping matrices with squarefree characteristic polynomial."""
-    return lambda m: poly_is_squarefree(ctx, charpoly(m))
+    return _class_function(lambda m: poly_is_squarefree(ctx, charpoly(m)))
 
 
 def z_partition(
@@ -168,7 +175,9 @@ def z_partition(
     """Partition conjugacy classes by centralizer conjugacy.
 
     With a filter, only classes containing at least one matching element
-    are partitioned. Without one the group must be small enough to scan
+    are partitioned; the built-in filters are conjugation-invariant and
+    are tested on each class rep only, any other predicate on the members
+    until one matches. Without one the group must be small enough to scan
     in full, and the partition-level invariants (identity block = center,
     single block iff abelian) are re-verified.
     """
@@ -181,6 +190,8 @@ def z_partition(
     classes = conjugacy_classes(table)
     if element_filter is None:
         chosen = list(classes)
+    elif getattr(element_filter, "class_function", False):
+        chosen = [c for c in classes if element_filter(table.mat_of(c.rep_id))]
     else:
         chosen = [
             c

@@ -46,7 +46,8 @@ from zclasskit import (
     z_partition,
 )
 from zclasskit.grpcore import center
-from zclasskit.matfq import jordan_decomposition
+
+from reference import jordan_decomposition
 
 
 def _finish(num: int, label: str, t0: float, budget: float | None) -> None:

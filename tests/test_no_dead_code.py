@@ -1,8 +1,10 @@
-"""Every function, class and method in zclasskit is named somewhere else,
-and every module-level import is used by its module.
+"""Every function, class and method in zclasskit is reached from outside
+tests, and every module-level import is used by its module.
 
-A definition whose name appears nowhere in src/, tests/ or perfbench/
-except in its own `def`/`class` line has no caller and should go.
+A definition whose name appears nowhere in src/ or perfbench/ except in
+its own `def`/`class` line has no caller but the tests, and should go or
+move into the tests that use it as an oracle. Names exported from
+`zclasskit/__init__.py` are the public interface and count as reached.
 Dunder methods are called by the interpreter and are exempt. An import
 counts as used when its module loads the name; `__init__.py` imports
 are re-exports and are exempt.
@@ -16,7 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "zclasskit"
-SEARCHED = ("src", "tests", "perfbench")
+SEARCHED = ("src", "perfbench")  # tests/ does not count as a caller
 
 
 def _definitions() -> Counter:
@@ -40,7 +42,7 @@ def _word_counts() -> Counter:
 def test_every_definition_is_named_elsewhere():
     words = _word_counts()
     dead = sorted(name for name, n in _definitions().items() if words[name] <= n)
-    assert dead == [], f"defined but never named elsewhere: {dead}"
+    assert dead == [], f"defined but never named outside its definition and tests/: {dead}"
 
 
 def _unused_imports() -> list[str]:

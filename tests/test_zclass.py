@@ -129,6 +129,23 @@ def test_partition_with_filter_sl2_f5():
     assert part.blocks[0].centralizer.order == 10
 
 
+def _blocks(part):
+    return [(b.rep_id, b.class_ids, b.centralizer.member_ids) for b in part.blocks]
+
+
+@pytest.mark.parametrize("kind,n,ctx", [(SL, 2, F5), (SL, 3, F2), (GL, 2, F5)])
+def test_builtin_filters_match_plain_lambdas(kind, n, ctx):
+    # the built-in filters are tested on class reps only; the same predicate
+    # as a plain lambda is tested on members until one matches
+    table = instantiate(FamilySpec(kind, n), ctx)
+    for filt in (zclass.regular_unipotent_filter(ctx, n), zclass.regular_semisimple_filter(ctx)):
+        assert filt.class_function
+        fast = z_partition(table, filt)
+        slow = z_partition(table, lambda m, f=filt: f(m))
+        assert _blocks(fast) == _blocks(slow)
+        assert fast.zclass_count >= 1
+
+
 def test_partition_bound(monkeypatch):
     table = instantiate(FamilySpec(SL, 2), F3)
     monkeypatch.setattr(limits, "FULL_TABLE_LIMIT", 10)
