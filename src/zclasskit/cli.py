@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from . import report
+from . import limits, report
 from .errors import BadCharacteristic, BoundExceeded, ConsistencyError
 from .ff import make_field
 from .galh1 import h1_mu_n, twisted_classes, twisted_from_matrices
@@ -26,20 +26,21 @@ from .grpcore import (
     parse_element_spec,
     parse_group_spec,
 )
-from .matfq import gl_conjugate_test, is_unipotent, mat_literal, sl_conjugate_test
+from .matfq import gl_conjugate_test, mat_literal, sl_conjugate_test
 from .paperlab import FAIL, run_experiment, verify_suite
 from .zclass import (
     base_change_probe,
     group_label,
     regular_semisimple_filter,
     regular_unipotent_filter,
+    unipotent_filter,
     z_partition,
 )
 
 MEMBER_LIST_CAP = 100
 
 FILTERS = {
-    "unipotent": lambda ctx, n: is_unipotent,
+    "unipotent": lambda ctx, n: unipotent_filter(),
     "regular-unipotent": regular_unipotent_filter,
     "regular-semisimple": lambda ctx, n: regular_semisimple_filter(ctx),
 }
@@ -228,14 +229,14 @@ def _cmd_experiment(args):
     params = dict(_parse_param(p) for p in args.param)
     exp = run_experiment(args.id, params)
     payload = exp.summary()
-    rows = report.experiment_rows([payload], include_runtime=False)
+    rows = report.experiment_rows([payload])
     return payload, rows, 1 if exp.verdict == FAIL else 0
 
 
 def _cmd_verify(args):
     rep = verify_suite(args.suite)
     payload = rep.summary()
-    rows = report.experiment_rows(payload["experiments"], include_runtime=False)
+    rows = report.experiment_rows(payload["experiments"])
     rows.append(
         {
             "id": f"suite:{rep.name}",
@@ -361,6 +362,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     start = time.perf_counter()
     try:
+        limits.max_group(args.max_group)  # a bad bound is a usage error on every subcommand
+        limits.max_field(args.max_field)
         payload, rows, code = args.handler(args)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Finite fields F_{p^m} with deterministic moduli, embeddings and norms.
+"""Finite fields F_{p^m} with deterministic moduli and embeddings.
 
 Representation. An element of F_{p^m} is the residue
 c_0 + c_1 x + ... + c_{m-1} x^{m-1} modulo a fixed monic irreducible
@@ -622,15 +622,7 @@ def _as_code(ctx: FieldCtx, x) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Frobenius, embeddings, norms
-
-
-def frobenius(ctx: FieldCtx, base_degree: int, x) -> FqElem:
-    """x -> x^(p^base_degree), the Frobenius fixing the degree-r subfield."""
-    if base_degree < 1 or ctx.m % base_degree:
-        raise ValueError(f"base degree {base_degree} does not divide {ctx.m}")
-    code = _as_code(ctx, x)
-    return FqElem(ctx, ctx.pow(code, ctx.p**base_degree))
+# embeddings
 
 
 @lru_cache(maxsize=None)
@@ -701,30 +693,6 @@ def embed(src: FieldCtx, dst: FieldCtx, x) -> FqElem:
     if dst.m % src.m:
         raise ValueError(f"F_{src.name} is not a subfield of F_{dst.name}")
     return FqElem(dst, _embed_code(src, dst, _as_code(src, x)))
-
-
-@lru_cache(maxsize=None)
-def _subfield_decode_map(ext: FieldCtx, r: int) -> dict[int, int]:
-    sub = make_field(ext.p, r, max_order=ext.q)
-    return {_embed_code(sub, ext, c): c for c in range(sub.q)}
-
-
-def norm(ext: FieldCtx, r: int, x) -> FqElem:
-    """Relative norm F_{p^m} -> F_{p^r} for r | m: product of conjugates."""
-    if r < 1 or ext.m % r:
-        raise ValueError(f"degree {r} does not divide {ext.m}")
-    code = _as_code(ext, x)
-    sub = make_field(ext.p, r, max_order=ext.q)
-    q_sub = ext.p**r
-    acc = code
-    t = code
-    for _ in range(ext.m // r - 1):
-        t = ext.pow(t, q_sub)
-        acc = ext.mul(acc, t)
-    decode = _subfield_decode_map(ext, r)
-    if acc not in decode:
-        raise ConsistencyError("norm value landed outside the subfield")
-    return FqElem(sub, decode[acc])
 
 
 def mult_generator(ctx: FieldCtx) -> FqElem:

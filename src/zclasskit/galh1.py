@@ -7,14 +7,24 @@ group over F_{q^r} they are the desk-scale stand-in for first Galois
 cohomology of the cyclic quotient Gal(F_{q^r}/F_q).
 
 Carriers are deliberately thin: a sorted tuple of hashable element keys
-plus multiplication, inversion, and the twist. Builders are provided for
-matrix subgroups (keys are matrices, twist is entrywise Frobenius), for
-roots of unity inside a large field (keys are element codes; the field is
-materialized but never enumerated), and for coset tables of quotients.
+plus multiplication, inversion, the twist, and a generating set. Builders
+are provided for matrix subgroups (keys are matrices, twist is entrywise
+Frobenius), for roots of unity inside a large field (keys are element
+codes; the field is materialized but never enumerated), and for coset
+tables of quotients.
+
+Every carrier holds a certified generating set: supplied generators must
+reach every element by a closure walk, else the least-key greedy
+generators are taken. All work runs on it. The twist and the inclusions
+of kernel_under_map are checked to be homomorphisms on elements x
+generators, which is complete because the generators generate, and
+twisted classes are orbits walked under a -> g^-1 * a * F(g).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Callable, Sequence
 
@@ -34,19 +44,17 @@ from .grpcore import (
     Subgroup,
     _greedy_generators,
     instantiate,
+    key_orbits,
     normalizer,
     subgroup_from_members,
 )
 from .matfq import Mat, charpoly, gl_conjugate_test, mat_embed, mat_frobenius
 
-# all-pairs automorphism validation is quadratic; larger carriers must
-# supply generators
-PAIR_CHECK_LIMIT = 1000
-
 
 @dataclass(frozen=True)
 class TwistedGroup:
-    """A finite group with a finite-order twisting automorphism."""
+    """A finite group, a finite-order twisting automorphism, and a certified
+    generating set."""
 
     elements: tuple
     mul: Callable
@@ -55,6 +63,7 @@ class TwistedGroup:
     frob: Callable
     order_of_F: int
     label: str = ""
+    gens: tuple = ()
 
     def __post_init__(self):
         if self.order_of_F < 1:
@@ -62,36 +71,41 @@ class TwistedGroup:
         elems = set(self.elements)
         if self.identity not in elems:
             raise ValueError("carrier lacks its identity")
-        if {self.frob(a) for a in self.elements} != elems:
+        images = {a: self.frob(a) for a in self.elements}
+        if set(images.values()) != elems:
             raise ValueError("the twist is not a bijection of the carrier")
         for a in self.elements:
             b = a
             for _ in range(self.order_of_F):
-                b = self.frob(b)
+                b = images[b]
             if b != a:
                 raise ValueError("the twist does not have the declared order")
-
-    def _check_hom(self, gens=None) -> None:
-        mul, frob = self.mul, self.frob
-        if gens is None:
-            if len(self.elements) <= PAIR_CHECK_LIMIT:
-                gens = self.elements
-            elif isinstance(self.elements[0], Mat):
-                gens = _greedy_generators(self.elements, self.identity)
-            else:
-                raise ValueError(
-                    f"carrier of size {len(self.elements)} needs generators "
-                    "to validate the automorphism"
-                )
-        # a hom on elements x generators extends to all pairs by induction
-        for a in self.elements:
-            for b in gens:
-                if frob(mul(a, b)) != mul(frob(a), frob(b)):
-                    raise ValueError("the twist is not a homomorphism")
+        mul = self.mul
+        if self.gens:
+            steps = [lambda a, g=g: mul(a, g) for g in self.gens]
+            if set(next(key_orbits([self.identity], steps))) != elems:
+                raise ValueError("the supplied generators do not generate the carrier")
+        else:
+            gens = _greedy_generators(self.elements, self.identity, mul)
+            object.__setattr__(self, "gens", tuple(gens))
+        # the generators keep the carrier closed, so every product is a key of images
+        _check_hom(self, images.__getitem__, mul, "the twist")
 
     def __repr__(self) -> str:
         tag = self.label or "twisted"
         return f"TwistedGroup({tag}, {len(self.elements)} elements, F^{self.order_of_F}=1)"
+
+
+def _check_hom(T: TwistedGroup, fn: Callable, mul: Callable, what: str) -> None:
+    """fn(a*s) == fn(a)*fn(s), with mul the target's product, over the
+    elements a and the generators s of T. Since the generators generate,
+    induction on word length extends this to all pairs."""
+    images = [(s, fn(s)) for s in T.gens]
+    for a in T.elements:
+        fa = fn(a)
+        for s, fs in images:
+            if fn(T.mul(a, s)) != mul(fa, fs):
+                raise ValueError(f"{what} is not a homomorphism")
 
 
 def make_twisted(
@@ -105,7 +119,14 @@ def make_twisted(
     gens=None,
     label: str = "",
 ) -> TwistedGroup:
-    T = TwistedGroup(
+    """The carrier on the distinct elements, sorted by key.
+
+    Supplied generators must reach every element by a closure walk, else
+    ValueError; without them the least-key greedy generators are taken.
+    The twist must be a bijection of the stated order and a homomorphism,
+    checked on elements x generators.
+    """
+    return TwistedGroup(
         tuple(sorted(set(elements), key=_sort_key)),
         mul,
         inv,
@@ -113,9 +134,8 @@ def make_twisted(
         frob,
         order_of_F,
         label,
+        tuple(gens or ()),
     )
-    T._check_hom(gens)
-    return T
 
 
 def _sort_key(x):
@@ -141,8 +161,8 @@ def twisted_from_matrices(
 
     return make_twisted(
         mats,
-        lambda a, b: a * b,
-        lambda a: a.inverse(),
+        operator.mul,
+        Mat.inverse,
         Mat.identity(ctx, n),
         frob,
         r,
@@ -187,11 +207,15 @@ class TwistedClassSet:
     def size(self) -> int:
         return len(self.reps)
 
+    @cached_property
+    def _rep_of(self) -> dict:
+        return {x: rep for rep, cls in zip(self.reps, self.classes) for x in cls}
+
     def class_of(self, a):
-        for rep, cls in zip(self.reps, self.classes):
-            if a in cls:
-                return rep
-        raise KeyError("element not in the carrier")
+        rep = self._rep_of.get(a)
+        if rep is None:
+            raise KeyError("element not in the carrier")
+        return rep
 
     def cocycle_class_reps(self) -> tuple:
         """Reps of classes containing a value with trivial twisted norm.
@@ -215,22 +239,23 @@ class TwistedClassSet:
         }
 
 
+def _twisted_moves(T: TwistedGroup) -> list:
+    """a -> g^-1 * a * F(g) for each generator g of T. These generate the
+    twisted action, a right action: b2^-1 (b1^-1 a F(b1)) F(b2) is the
+    move by b1 b2."""
+    mul = T.mul
+    return [lambda a, gi=T.inv(g), fg=T.frob(g): mul(mul(gi, a), fg) for g in T.gens]
+
+
 def twisted_classes(T: TwistedGroup) -> TwistedClassSet:
-    """Orbits of a ~ b^-1 * a * F(b); reps are the least seeds."""
-    mul, inv, frob = T.mul, T.inv, T.frob
-    remaining = set(T.elements)
-    reps = []
-    classes = []
-    for seed in T.elements:
-        if seed not in remaining:
-            continue
-        orbit = {mul(inv(b), mul(seed, frob(b))) for b in T.elements}
-        if not orbit <= remaining:
-            raise ConsistencyError("twisted orbits failed to partition the carrier")
-        remaining -= orbit
-        reps.append(seed)
-        classes.append(tuple(sorted(orbit, key=_sort_key)))
-    return TwistedClassSet(T, tuple(reps), tuple(classes))
+    """Orbits of a ~ b^-1 * a * F(b), each walked under the generators from
+    the least element no earlier orbit reached; reps are those seeds."""
+    orbits = list(key_orbits(T.elements, _twisted_moves(T)))
+    if sum(map(len, orbits)) != len(T.elements):
+        raise ConsistencyError("twisted orbits failed to partition the carrier")
+    reps = tuple(orbit[0] for orbit in orbits)
+    classes = tuple(tuple(sorted(orbit, key=_sort_key)) for orbit in orbits)
+    return TwistedClassSet(T, reps, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +331,8 @@ def cocycle_of_form(
         raise ConsistencyError("cocycle value missed the supplied normalizer")
     T = make_twisted(
         members,
-        lambda x, y: x * y,
-        lambda x: x.inverse(),
+        operator.mul,
+        Mat.inverse,
         Mat.identity(ext, a.n),
         lambda x: mat_frobenius(x, ctx.m),
         r,
@@ -445,31 +470,24 @@ def kernel_under_map(
 ) -> tuple:
     """Twisted class reps of T that become distinguished in the ambient.
 
-    The inclusion must be an F-equivariant homomorphism; a class dies when
-    some ambient b solves b^-1 * image * F(b) = identity, found by scan.
+    The inclusion must be an F-equivariant homomorphism. A class dies when
+    some ambient b solves b^-1 * image * F(b) = identity, that is when the
+    image is b * F(b)^-1: when it lies in the twisted orbit of the identity,
+    walked once.
     """
     for a in T.elements:
         if inclusion(T.frob(a)) != ambient.frob(inclusion(a)):
             raise ValueError("inclusion is not equivariant for the twists")
-    if len(T.elements) > PAIR_CHECK_LIMIT and isinstance(T.elements[0], Mat):
-        seconds = _greedy_generators(T.elements, T.identity)
-    else:
-        seconds = T.elements
-    for a in T.elements:
-        for b in seconds:
-            if inclusion(T.mul(a, b)) != ambient.mul(inclusion(a), inclusion(b)):
-                raise ValueError("inclusion is not a homomorphism")
-    cs = twisted_classes(T)
-    dead = []
+    _check_hom(T, inclusion, ambient.mul, "inclusion")
     amb_set = set(ambient.elements)
-    for rep in cs.reps:
+    trivial = set(next(key_orbits([ambient.identity], _twisted_moves(ambient))))
+    dead = []
+    for rep in twisted_classes(T).reps:
         img = inclusion(rep)
         if img not in amb_set:
             raise ValueError("inclusion leaves the ambient carrier")
-        for b in ambient.elements:
-            if ambient.mul(ambient.inv(b), ambient.mul(img, ambient.frob(b))) == ambient.identity:
-                dead.append(rep)
-                break
+        if img in trivial:
+            dead.append(rep)
     return tuple(dead)
 
 

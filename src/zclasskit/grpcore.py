@@ -9,11 +9,13 @@ has a transversal t_b with t_b r t_b^-1 = b. A root's centralizer is its
 stabilizer, certified by |C(r)|·|cl(r)| = |G|; any other centralizer is
 the conjugate t_b C(r) t_b^-1, cached per id. Subgroup conjugacy and
 normalizers test only the cosets t_b t_a^-1 C(a) that a pivot element a
-can be sent along, never the whole group.
+can be sent along, never the whole group. Orbits of other hashable points
+(twisted carriers, coset tables) are walked by key_orbits.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -571,36 +573,34 @@ def _close(start, gens, within=None, cap=None) -> list[Mat]:
     return out
 
 
-def _adjoin(group: list[Mat], gens: list[Mat], g: Mat, within) -> list[Mat]:
+def _adjoin(group: list, gens: list, g, mul, within=None) -> list:
     """<K, g> for the group K = group generated by gens, as K followed by
-    new right cosets K x (Dimino's algorithm).
+    new right cosets K x (Dimino's algorithm). Points are hashable keys of
+    any type and mul multiplies two of them.
 
     A union of right cosets of K is closed under right multiplication by
     every generator once each coset rep times each generator lands in it,
     so only reps are multiplied by generators, never all of K. A product
-    outside within (a set or dict of encodings) means the member set is
-    not closed.
+    outside within (a container of points) means the member set is not
+    closed.
     """
     out = list(group)
-    seen = {m.data for m in out}
-    if g.data in seen:
+    seen = set(out)
+    if g in seen:
         return out
     gens = list(gens) + [g]
     reps = [out[0]]  # K's own rep, the identity
-    head = 0
-    while head < len(reps):
-        r = reps[head]
-        head += 1
+    for r in reps:  # the walk appends to reps as it goes
         for s in gens:
-            x = r * s
-            if x.data in seen:
+            x = mul(r, s)
+            if x in seen:
                 continue
             reps.append(x)
             for k in group:
-                y = k * x
-                if y.data not in within:
+                y = mul(k, x)
+                if within is not None and y not in within:
                     raise ConsistencyError("member set is not closed")
-                seen.add(y.data)
+                seen.add(y)
                 out.append(y)
     return out
 
@@ -692,23 +692,26 @@ class Subgroup:
         return f"Subgroup(order {self.order} of {self.parent!r})"
 
 
-def _greedy_generators(members_sorted: list[Mat], ident: Mat) -> list[Mat]:
-    """Least-encoding generators: each member not yet reached joins the set."""
-    gens: list[Mat] = []
+def _greedy_generators(members: list, ident, mul) -> list:
+    """Least generators of a closed member set of hashable points, with
+    ident its identity and mul its product: each member, in the given
+    order, that the generators so far do not reach joins them (ident alone
+    for the trivial group)."""
+    gens: list = []
     closure = [ident]
-    reached = {ident.data}
-    member_set = {m.data for m in members_sorted}
-    for m in members_sorted:
-        if m.data in reached:
+    reached = {ident}
+    within = set(members)
+    for m in members:
+        if m in reached:
             continue
-        closure = _adjoin(closure, gens, m, member_set)
+        closure = _adjoin(closure, gens, m, mul, within)
         gens.append(m)
-        reached = {x.data for x in closure}
-        if len(closure) == len(members_sorted):
+        reached = set(closure)
+        if len(closure) == len(members):
             break
-    if len(closure) != len(members_sorted):
+    if len(closure) != len(members):
         raise ConsistencyError("member set is not closed")
-    return gens
+    return gens or [ident]
 
 
 def subgroup_from_members(parent, members) -> Subgroup:
@@ -723,15 +726,45 @@ def subgroup_from_members(parent, members) -> Subgroup:
     for m in members:
         if not parent.contains(m):
             raise ValueError("member outside the parent group")
-    gens = _greedy_generators(members, ident)
-    if not gens:
-        gens = [ident]
-    return Subgroup(parent, members, gens)
+    return Subgroup(parent, members, _greedy_generators(members, ident, operator.mul))
 
 
 def whole_group(table: GroupTable) -> Subgroup:
     table._certify_generators()
     return Subgroup(table, list(table.elements), list(table.gens))
+
+
+# ---------------------------------------------------------------------------
+# orbits of hashable points
+
+
+def key_orbits(seeds, moves):
+    """Orbits of hashable points under a list of moves, one for each seed
+    no earlier orbit reached, in seed order.
+
+    Each orbit is walked breadth-first and listed seed first. The moves
+    generate the action of a finite group, so walking forward reaches the
+    whole orbit and no two orbits meet; a walk that runs into an earlier
+    orbit raises ConsistencyError.
+    """
+    owner: dict = {}  # point -> number of the orbit that reached it
+    number = 0
+    for seed in seeds:
+        if seed in owner:
+            continue
+        owner[seed] = number
+        orbit = [seed]
+        for x in orbit:  # the walk appends to orbit as it goes
+            for move in moves:
+                y = move(x)
+                k = owner.get(y)
+                if k is None:
+                    owner[y] = number
+                    orbit.append(y)
+                elif k != number:
+                    raise ConsistencyError("orbits of the moves overlap")
+        number += 1
+        yield orbit
 
 
 # ---------------------------------------------------------------------------
@@ -800,20 +833,20 @@ def _schreier_stabilizer(table: GroupTable, r: int) -> list[Mat]:
         p, k = parent[b], via[b]
         t[b], ti[b] = gens[k] * t[p], ti[p] * gens_inv[k]
     want = table.order // len(orbit)
-    found, seen, schreier = [ident], {ident.data}, []
+    found, seen, schreier = [ident], {ident}, []
     for b in orbit:
         if len(found) >= want:
             break
         mb = elements[b]
         for g, gi in zip(gens, gens_inv):
             s = ti[index[(g * mb * gi).data]] * g * t[b]
-            if s.data in seen:
+            if s in seen:
                 continue
             if s * g_r != g_r * s:
                 raise ConsistencyError("Schreier generator does not centralize")
-            found = _adjoin(found, schreier, s, index)
+            found = _adjoin(found, schreier, s, operator.mul)
             schreier.append(s)
-            seen = {m.data for m in found}
+            seen = set(found)
     return [elements[index[m.data]] for m in found]  # the table's own objects
 
 
@@ -1032,7 +1065,7 @@ def subgroups_conjugate(table: GroupTable, H1: Subgroup, H2: Subgroup) -> int | 
 class QuotientGroup:
     """Coset group N/D with an explicit multiplication table."""
 
-    __slots__ = ("numerator", "denominator", "reps", "table", "_coset_of")
+    __slots__ = ("numerator", "denominator", "reps", "table", "_coset_of", "_inverse")
 
     def __init__(self, numerator: Subgroup, denominator: Subgroup):
         N, D = numerator, denominator
@@ -1060,6 +1093,7 @@ class QuotientGroup:
         self.table = tuple(
             tuple(coset_of[(reps[i] * reps[j]).data] for j in range(k)) for i in range(k)
         )
+        self._inverse = tuple(coset_of[r.inverse().data] for r in reps)
 
     @property
     def order(self) -> int:
@@ -1077,24 +1111,16 @@ class QuotientGroup:
         return all(self.table[i][j] == self.table[j][i] for i in range(k) for j in range(k))
 
     def inverse_index(self, i: int) -> int:
-        e = self.identity_index
-        for j in range(self.order):
-            if self.table[i][j] == e:
-                return j
-        raise ConsistencyError("coset has no inverse")
+        return self._inverse[i]
 
     def conjugacy_class_count(self) -> int:
-        k = self.order
-        seen = [False] * k
-        count = 0
-        for a in range(k):
-            if seen[a]:
-                continue
-            count += 1
-            for x in range(k):
-                xi = self.inverse_index(x)
-                seen[self.table[self.table[x][a]][xi]] = True
-        return count
+        """Orbits of the cosets under conjugation by the cosets of the
+        numerator's generators, which generate the quotient."""
+        t, inv = self.table, self._inverse
+        moves = [
+            lambda x, g=self.coset_index(g): t[t[g][x]][inv[g]] for g in self.numerator.gens
+        ]
+        return sum(1 for _ in key_orbits(range(self.order), moves))
 
 
 def quotient(numerator: Subgroup, denominator: Subgroup) -> QuotientGroup:

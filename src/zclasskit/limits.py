@@ -19,26 +19,25 @@ SPAN_CAP = 300_000  # largest linear span listed in witness searches
 UNIT_SCAN_CAP = 2**20  # largest field whose units power_class_count lists
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def _bound(env: str, flag: str, default: int, override: int | None) -> int:
+    """A resource bound: the override when given, else the environment
+    variable, else the default. Either source must be a positive integer,
+    else ValueError naming the source."""
+    raw, source = (os.environ.get(env), env) if override is None else (override, flag)
     if raw is None or raw == "":
         return default
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
+        raise ValueError(f"{source} must be an integer, got {raw!r}") from exc
     if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+        raise ValueError(f"{source} must be positive, got {value}")
     return value
 
 
 def max_group(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return _env_int("ZK_MAX_GROUP", DEFAULT_MAX_GROUP)
+    return _bound("ZK_MAX_GROUP", "--max-group", DEFAULT_MAX_GROUP, override)
 
 
 def max_field(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return _env_int("ZK_MAX_FIELD", DEFAULT_MAX_FIELD)
+    return _bound("ZK_MAX_FIELD", "--max-field", DEFAULT_MAX_FIELD, override)

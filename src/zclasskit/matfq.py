@@ -21,7 +21,6 @@ with the least canonical encoding wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import limits
@@ -31,7 +30,6 @@ from .ff import (
     FqElem,
     _as_code,
     _embed_code,
-    make_field,
     poly_add,
     poly_divmod,
     poly_is_squarefree,
@@ -743,49 +741,3 @@ def heisenberg_element(top, ctx: FieldCtx) -> Mat:
     if c == 0:
         raise ValueError("entry must be nonzero")
     return Mat.from_rows(ctx, [[1, c, 0], [0, 1, 1], [0, 0, 1]])
-
-
-@lru_cache(maxsize=None)
-def _weil_basis_inverse(K: FieldCtx, r: int) -> tuple[FieldCtx, FieldCtx, Mat]:
-    base = make_field(K.p, r, max_order=K.q)
-    prime = make_field(K.p, 1)
-    m = K.m
-    n = m // r
-    theta = K.p if n > 1 else 1
-    theta_b = base.p if r > 1 else 1
-    cols = []
-    for j in range(n):
-        tj = K.pow(theta, j) if n > 1 else 1
-        for i in range(r):
-            bi = base.pow(theta_b, i) if r > 1 else 1
-            elt = K.mul(tj, _embed_code(base, K, bi))
-            cols.append(K.coeffs(elt))
-    M = Mat(prime, m, [cols[c][row] for row in range(m) for c in range(m)])
-    return base, prime, M.inverse()
-
-
-def weil_embed(K: FieldCtx, r: int, x) -> Mat:
-    """Left-multiplication matrix of x on K over its degree-r subfield.
-
-    The basis is the power basis of the canonical modulus root, with each
-    coordinate an element of the subfield; the map is multiplicative and
-    det(weil_embed(x)) is the relative norm of x.
-    """
-    if r < 1 or K.m % r:
-        raise ValueError(f"base degree {r} does not divide {K.m}")
-    code = _as_code(K, x)
-    if code == 0:
-        raise ValueError("only units embed into the matrix group")
-    base, prime, Minv = _weil_basis_inverse(K, r)
-    m = K.m
-    n = m // r
-    theta = K.p if n > 1 else 1
-    data = [0] * (n * n)
-    for j in range(n):
-        y = K.mul(code, K.pow(theta, j)) if n > 1 else code
-        digits = K.coeffs(y)
-        coords = _apply(Minv, tuple(digits))
-        for block in range(n):
-            sub_code = base.encode(coords[block * r : (block + 1) * r])
-            data[block * n + j] = sub_code
-    return Mat(base, n, data)

@@ -82,21 +82,18 @@ def render(fmt: str, payload: dict, rows: list[dict]) -> str:
     raise ValueError(f"unknown format {fmt!r}: choose from {', '.join(FORMATS)}")
 
 
-def experiment_rows(summaries: list[dict], include_runtime: bool = True) -> list[dict]:
+def experiment_rows(summaries: list[dict]) -> list[dict]:
     """Flatten experiment summaries into the id/params/verdict table shape."""
-    rows = []
-    for s in summaries:
-        row = {
+    return [
+        {
             "id": s["id"],
             "params": " ".join(f"{k}={_cell(v)}" for k, v in sorted(s["params"].items())),
             "predicted": _cell_obj(s["predicted"]),
             "computed": _cell_obj(s["computed"]),
             "verdict": s["verdict"],
         }
-        if include_runtime:
-            row["runtime"] = f"{s['runtime']:.3f}s"
-        rows.append(row)
-    return rows
+        for s in summaries
+    ]
 
 
 def _cell_obj(value) -> str:

@@ -149,6 +149,11 @@ def _class_function(keep):
     return keep
 
 
+def unipotent_filter():
+    """Predicate keeping unipotent matrices."""
+    return _class_function(lambda m: is_unipotent(m))
+
+
 def regular_unipotent_filter(ctx: FieldCtx, n: int):
     """Predicate keeping unipotent matrices with full-length Jordan block."""
     ident = Mat.identity(ctx, n)

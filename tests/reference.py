@@ -6,9 +6,11 @@ the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from zclasskit.errors import ConsistencyError
-from zclasskit.matfq import Mat, is_semisimple, is_unipotent, mat_order
+from zclasskit.ff import FieldCtx, FqElem, _as_code, _embed_code, make_field
+from zclasskit.matfq import Mat, _apply, is_semisimple, is_unipotent, mat_order
 
 
 @dataclass(frozen=True)
@@ -49,3 +51,81 @@ def jordan_decomposition(g: Mat) -> JordanPair:
     if not is_semisimple(gs) or not is_unipotent(gu):
         raise ConsistencyError("Jordan parts fail their defining predicates")
     return JordanPair(gs, gu)
+
+
+def frobenius(ctx: FieldCtx, base_degree: int, x) -> FqElem:
+    """x -> x^(p^base_degree), the Frobenius fixing the degree-r subfield."""
+    if base_degree < 1 or ctx.m % base_degree:
+        raise ValueError(f"base degree {base_degree} does not divide {ctx.m}")
+    code = _as_code(ctx, x)
+    return FqElem(ctx, ctx.pow(code, ctx.p**base_degree))
+
+
+@lru_cache(maxsize=None)
+def _subfield_decode_map(ext: FieldCtx, r: int) -> dict[int, int]:
+    sub = make_field(ext.p, r, max_order=ext.q)
+    return {_embed_code(sub, ext, c): c for c in range(sub.q)}
+
+
+def norm(ext: FieldCtx, r: int, x) -> FqElem:
+    """Relative norm F_{p^m} -> F_{p^r} for r | m: product of conjugates."""
+    if r < 1 or ext.m % r:
+        raise ValueError(f"degree {r} does not divide {ext.m}")
+    code = _as_code(ext, x)
+    sub = make_field(ext.p, r, max_order=ext.q)
+    q_sub = ext.p**r
+    acc = code
+    t = code
+    for _ in range(ext.m // r - 1):
+        t = ext.pow(t, q_sub)
+        acc = ext.mul(acc, t)
+    decode = _subfield_decode_map(ext, r)
+    if acc not in decode:
+        raise ConsistencyError("norm value landed outside the subfield")
+    return FqElem(sub, decode[acc])
+
+
+@lru_cache(maxsize=None)
+def _weil_basis_inverse(K: FieldCtx, r: int) -> tuple[FieldCtx, FieldCtx, Mat]:
+    base = make_field(K.p, r, max_order=K.q)
+    prime = make_field(K.p, 1)
+    m = K.m
+    n = m // r
+    theta = K.p if n > 1 else 1
+    theta_b = base.p if r > 1 else 1
+    cols = []
+    for j in range(n):
+        tj = K.pow(theta, j) if n > 1 else 1
+        for i in range(r):
+            bi = base.pow(theta_b, i) if r > 1 else 1
+            elt = K.mul(tj, _embed_code(base, K, bi))
+            cols.append(K.coeffs(elt))
+    M = Mat(prime, m, [cols[c][row] for row in range(m) for c in range(m)])
+    return base, prime, M.inverse()
+
+
+def weil_embed(K: FieldCtx, r: int, x) -> Mat:
+    """Left-multiplication matrix of x on K over its degree-r subfield.
+
+    The basis is the power basis of the canonical modulus root, with each
+    coordinate an element of the subfield; the map is multiplicative and
+    det(weil_embed(x)) is the relative norm of x.
+    """
+    if r < 1 or K.m % r:
+        raise ValueError(f"base degree {r} does not divide {K.m}")
+    code = _as_code(K, x)
+    if code == 0:
+        raise ValueError("only units embed into the matrix group")
+    base, prime, Minv = _weil_basis_inverse(K, r)
+    m = K.m
+    n = m // r
+    theta = K.p if n > 1 else 1
+    data = [0] * (n * n)
+    for j in range(n):
+        y = K.mul(code, K.pow(theta, j)) if n > 1 else code
+        digits = K.coeffs(y)
+        coords = _apply(Minv, tuple(digits))
+        for block in range(n):
+            sub_code = base.encode(coords[block * r : (block + 1) * r])
+            data[block * n + j] = sub_code
+    return Mat(base, n, data)

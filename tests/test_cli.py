@@ -298,6 +298,24 @@ def test_env_bound(capsys, monkeypatch):
     assert "above bound 10" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--max-group", "0"), ("--max-group", "-4"), ("--max-field", "0")]
+)
+def test_bound_flags_must_be_positive(capsys, flag, value):
+    for argv in (["zclasses", "gl:2@3^1"], ["h1", "--mu", "12", "--q", "7"]):
+        code, _, err = run(capsys, *argv, flag, value)
+        assert code == 2
+        assert f"{flag} must be positive, got {value}" in err
+
+
+@pytest.mark.parametrize("env", ["ZK_MAX_GROUP", "ZK_MAX_FIELD"])
+def test_bound_env_must_be_positive(capsys, monkeypatch, env):
+    monkeypatch.setenv(env, "0")
+    code, _, err = run(capsys, "zclasses", "gl:2@3^1")
+    assert code == 2
+    assert f"{env} must be positive, got 0" in err
+
+
 def test_bad_characteristic_flag(capsys):
     code, _, err = run(capsys, "zclasses", "sl:2@2^1")
     assert code == 2

@@ -1,5 +1,6 @@
 """Tests for twisted conjugacy, cocycles, and the mu_n class count."""
 import itertools
+import operator
 from math import gcd
 
 import pytest
@@ -135,6 +136,85 @@ def test_class_of_and_partition_reps():
         cs.class_of(0)
 
 
+def _classes_by_scan(T):
+    """The all-elements route, kept as the reference for the orbit walk:
+    each class is {b^-1 * a * F(b)} over every b of the carrier, seeded at
+    the least element no earlier class holds."""
+    remaining = set(T.elements)
+    reps, classes = [], []
+    for seed in T.elements:
+        if seed in remaining:
+            orbit = {T.mul(T.inv(b), T.mul(seed, T.frob(b))) for b in T.elements}
+            assert orbit <= remaining
+            remaining -= orbit
+            reps.append(seed)
+            classes.append(tuple(sorted(orbit, key=lambda x: x.data if isinstance(x, Mat) else x)))
+    return tuple(reps), tuple(classes)
+
+
+def _identity_twist_table(spec_text):
+    fam, ctx = parse_group_spec(spec_text)
+    table = instantiate(fam, ctx)
+    return twisted_from_matrices(table.elements, table.ctx, 1, label=spec_text)
+
+
+def _weyl_quotient(ctx, n):
+    """N/T for the split torus T of GL_n over ctx and its normalizer N,
+    the monomial matrices."""
+    virt = VirtualGroup(FamilySpec(GL, n), ctx)
+    diag, members = [], []
+    for perm in itertools.permutations(range(n)):
+        for entries in itertools.product(range(1, ctx.q), repeat=n):
+            data = [0] * (n * n)
+            for i in range(n):
+                data[i * n + perm[i]] = entries[i]
+            members.append(Mat(ctx, n, data))
+            if perm == tuple(range(n)):
+                diag.append(members[-1])
+    return quotient(subgroup_from_members(virt, members), subgroup_from_members(virt, diag))
+
+
+def _weyl_carrier(ext, base, n):
+    return twisted_from_quotient(_weyl_quotient(ext, n), base, ext.m // base.m)
+
+
+CARRIERS = {
+    "mu12@F49": lambda: _mu_carrier(F49, 12, 7),
+    "monomial@F9": lambda: twisted_from_matrices(_monomial_2x2(F9), F3, 2),
+    "torus@F9": lambda: twisted_from_matrices([m for m in _monomial_2x2(F9) if m[0, 1] == 0], F3, 2),
+    "pm-unipotent@F9": lambda: twisted_from_matrices(_pm_unipotent_mats(F9), F3, 2),
+    "pm-unipotent@F25": lambda: twisted_from_matrices(_pm_unipotent_mats(F25), F5, 2),
+    "borel-normalizer@F9": lambda: twisted_from_matrices(_upper_borel_normalizer(F9, 3), F3, 2),
+    "borel-normalizer@F25": lambda: twisted_from_matrices(_upper_borel_normalizer(F25, 5), F5, 2),
+    "sl:2@9-frobenius": lambda: twisted_from_matrices(instantiate(FamilySpec(SL, 2), F9).elements, F3, 2),
+    "gl:2@2": lambda: _identity_twist_table("gl:2@2"),
+    "sl:2@3": lambda: _identity_twist_table("sl:2@3"),
+    "dihedral:5": lambda: _identity_twist_table("dihedral:5"),
+    "borel-gl:2@3": lambda: _identity_twist_table("borel-gl:2@3"),
+    "u3@5": lambda: _identity_twist_table("u3@5"),
+    "weyl-gl2@F9": lambda: _weyl_carrier(F9, F3, 2),
+    "weyl-gl3@F4": lambda: _weyl_carrier(make_field(2, 2), F2, 3),
+    "weyl-gl3@F4-identity": lambda: _weyl_carrier(make_field(2, 2), make_field(2, 2), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_orbit_walk_matches_all_elements_route(name):
+    T = CARRIERS[name]()
+    cs = twisted_classes(T)
+    assert (cs.reps, cs.classes) == _classes_by_scan(T)
+    for rep, cls in zip(cs.reps, cs.classes):
+        assert all(cs.class_of(x) == rep for x in cls)
+
+
+@pytest.mark.parametrize("ctx, n, count", [(F9, 2, 2), (make_field(2, 2), 3, 3), (F5, 3, 3)])
+def test_quotient_class_count_matches_identity_twist(ctx, n, count):
+    W = _weyl_quotient(ctx, n)
+    assert W.conjugacy_class_count() == count  # S_n has p(n) classes
+    assert twisted_classes(twisted_from_quotient(W, ctx, 1)).size == count
+    assert all(W.table[i][W.inverse_index(i)] == W.identity_index for i in range(W.order))
+
+
 # ---------------------------------------------------------------------------
 # carrier validation
 
@@ -176,6 +256,45 @@ def test_twist_must_be_homomorphism_with_generator():
 
     with pytest.raises(ValueError, match="homomorphism"):
         make_twisted(units, F9.mul, F9.inv, 1, twist, 2, gens=[g])
+
+
+def test_twist_must_be_homomorphism_on_large_carriers():
+    # above 1000 elements and with no generators given, the greedy
+    # generators still decide the check, for integer and matrix keys alike
+    f2048 = make_field(2, 11)
+    g = mult_generator(f2048).code
+    units = list(f2048.units())
+    swap = {g: f2048.pow(g, 3), f2048.pow(g, 3): g}
+    with pytest.raises(ValueError, match="homomorphism"):
+        make_twisted(units, f2048.mul, f2048.inv, 1, lambda x: swap.get(x, x), 2)
+    f11 = make_field(11, 1)
+    table = instantiate(FamilySpec(SL, 2), f11)
+    assert table.order > 1000
+
+    def transpose(m):
+        return Mat.from_rows(f11, list(zip(*m.rows())))
+
+    ident = Mat.identity(f11, 2)
+    with pytest.raises(ValueError, match="homomorphism"):
+        make_twisted(table.elements, operator.mul, Mat.inverse, ident, transpose, 2)
+
+
+def test_supplied_generators_must_generate():
+    g = mult_generator(F9).code
+    units = [F9.pow(g, k) for k in range(8)]
+    frob = lambda x: F9.pow(x, 3)  # noqa: E731
+    with pytest.raises(ValueError, match="do not generate"):
+        make_twisted(units, F9.mul, F9.inv, 1, frob, 2, gens=[F9.pow(g, 2)])
+    with pytest.raises(ValueError, match="do not generate"):
+        make_twisted(units, F9.mul, F9.inv, 1, frob, 2, gens=[g, 0])
+    assert make_twisted(units, F9.mul, F9.inv, 1, frob, 2, gens=[g]).gens == (g,)
+
+
+def test_greedy_generators_are_least_and_generate():
+    T = _mu_carrier(F49, 12, 7)
+    assert T.gens[0] == min(x for x in T.elements if x != 1)
+    trivial = twisted_from_matrices([Mat.identity(F9, 2)], F3, 2)
+    assert trivial.gens == (trivial.identity,)
 
 
 def test_identity_must_be_in_carrier():
@@ -404,6 +523,27 @@ def test_kernel_of_normalizer_data_in_full_group():
     assert len(dead) == 2
     assert Mat.identity(F9, 2) in dead
     assert Mat.from_rows(F9, [[0, 1], [1, 0]]) in dead
+
+
+def _kernel_by_scan(T, ambient, inclusion):
+    """Reps whose image some ambient b sends to the identity, by a scan."""
+    amb = ambient
+    return tuple(
+        rep
+        for rep in twisted_classes(T).reps
+        if any(amb.mul(amb.inv(b), amb.mul(inclusion(rep), amb.frob(b))) == amb.identity for b in amb.elements)
+    )
+
+
+@pytest.mark.parametrize(
+    "sub, ambient",
+    [("torus@F9", "monomial@F9"), ("pm-unipotent@F9", "borel-normalizer@F9"), ("torus@F9", "torus@F9")],
+)
+def test_kernel_matches_scan(sub, ambient):
+    T, A = CARRIERS[sub](), CARRIERS[ambient]()
+    dead = kernel_under_map(T, A, lambda m: m)
+    assert dead == _kernel_by_scan(T, A, lambda m: m)
+    assert T.identity in dead
 
 
 def test_kernel_trivial_subgroup():

@@ -26,6 +26,7 @@ from zclasskit.grpcore import (
     dihedral_generators,
     family_order,
     instantiate,
+    key_orbits,
     normalizer,
     parse_element_spec,
     parse_group_spec,
@@ -35,7 +36,9 @@ from zclasskit.grpcore import (
     subgroups_conjugate,
     whole_group,
 )
-from zclasskit.matfq import Mat, heisenberg_element, mat_order, regular_unipotent, weil_embed
+from zclasskit.matfq import Mat, heisenberg_element, mat_order, regular_unipotent
+
+from reference import weil_embed
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -517,6 +520,16 @@ def test_quotient_weyl_gl3_f5_virtual_parent():
     assert W.order == 6
     assert not W.is_abelian()
     assert W.conjugacy_class_count() == 3  # symmetric group on 3 letters
+
+
+def test_key_orbits_partition_and_reject_overlaps():
+    # x -> x + 3 and x -> 7x on Z/12: the cosets of 3Z/12, each walked
+    # breadth-first from its least point
+    moves = [lambda x: (x + 3) % 12, lambda x: 7 * x % 12]
+    assert list(key_orbits(range(12), moves)) == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]]
+    assert next(key_orbits([4], moves)) == [4, 7, 10, 1]
+    with pytest.raises(ConsistencyError, match="overlap"):
+        list(key_orbits(range(12), [lambda x: 0]))  # not a bijection
 
 
 def test_quotient_rejects_non_normal():

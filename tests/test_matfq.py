@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from zclasskit.ff import make_field, mult_generator, norm, poly_mul, poly_sub, poly_trim
+from zclasskit.ff import make_field, mult_generator, poly_mul, poly_sub, poly_trim
 from zclasskit.matfq import (
     Mat,
     centralizer_algebra,
@@ -32,10 +32,9 @@ from zclasskit.matfq import (
     sl_conjugate_test,
     span_vectors,
     transporter_space,
-    weil_embed,
 )
 
-from reference import jordan_decomposition
+from reference import jordan_decomposition, norm, weil_embed
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)

@@ -1,48 +1,139 @@
 """Every function, class and method in zclasskit is reached from outside
 tests, and every module-level import is used by its module.
 
-A definition whose name appears nowhere in src/ or perfbench/ except in
-its own `def`/`class` line has no caller but the tests, and should go or
-move into the tests that use it as an oracle. Names exported from
-`zclasskit/__init__.py` are the public interface and count as reached.
-Dunder methods are called by the interpreter and are exempt. An import
-counts as used when its module loads the name; `__init__.py` imports
-are re-exports and are exempt.
+A definition is reached when src/ or perfbench/ refers to it in code.
+A function or class is referred to by its name, by an import, as an
+attribute of an imported module or object (`limits.max_group`,
+`zk.make_field`), or as a part of a dotted string constant in perfbench/
+that names a zclasskit module first (the benchmark tracer resolves such
+strings to functions). A method is referred to by any attribute of its
+name. Docstrings, comments and other strings do not count, nor does an
+attribute like `args.frobenius` for a module-level function, nor a
+reference from inside the definition itself (recursion). Names exported
+from `zclasskit/__init__.py` are the public interface and count as
+reached. Dunder methods are called by the interpreter and are exempt. An
+import counts as used when its module loads the name; `__init__.py`
+imports are re-exports and are exempt.
 """
 from __future__ import annotations
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "zclasskit"
 SEARCHED = ("src", "perfbench")  # tests/ does not count as a caller
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _definitions() -> Counter:
-    defs: Counter = Counter()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+def _definitions() -> set[tuple[str, bool]]:
+    """(name, is_method) of every non-dunder definition in the package."""
+    out = set()
+
+    def visit(body, in_class: bool) -> None:
+        for node in body:
+            if isinstance(node, DEFS):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defs[node.name] += 1
-    return defs
+                    out.add((node.name, in_class))
+                visit(node.body, isinstance(node, ast.ClassDef))
+            elif hasattr(node, "body"):  # if/try/with blocks
+                visit(node.body, in_class)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)).body, False)
+    return out
 
 
-def _word_counts() -> Counter:
-    words: Counter = Counter()
+class _References(ast.NodeVisitor):
+    """Counts what a module's code refers to, outside the definitions of
+    the same names: `names` reach functions and classes, `attrs` (every
+    attribute) reach methods."""
+
+    def __init__(self, tree: ast.Module, dotted_strings: bool):
+        self.names: Counter = Counter()
+        self.attrs: Counter = Counter()
+        self.enclosing: list[str] = []
+        self.dotted_strings = dotted_strings
+        self.imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        self.visit(tree)
+
+    def _count(self, counter: Counter, name: str) -> None:
+        if name not in self.enclosing:
+            counter[name] += 1
+
+    def _visit_def(self, node) -> None:
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_def
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self._count(self.names, node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._count(self.attrs, node.attr)
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in self.imported:
+            self._count(self.names, node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node: ast.alias) -> None:
+        for part in node.name.split("."):
+            self._count(self.names, part)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if self.dotted_strings and isinstance(node.value, str):
+            head, *rest = node.value.split(".")
+            if head in MODULES and rest and all(p.isidentifier() for p in rest):
+                for part in rest:
+                    self._count(self.names, part)
+
+
+def _references() -> tuple[Counter, Counter]:
+    names: Counter = Counter()
+    attrs: Counter = Counter()
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            words.update(re.findall(r"\w+", path.read_text()))
-    return words
+            refs = _References(ast.parse(path.read_text(), str(path)), top == "perfbench")
+            names.update(refs.names)
+            attrs.update(refs.attrs)
+    return names, attrs
 
 
 def test_every_definition_is_named_elsewhere():
-    words = _word_counts()
-    dead = sorted(name for name, n in _definitions().items() if words[name] <= n)
-    assert dead == [], f"defined but never named outside its definition and tests/: {dead}"
+    names, attrs = _references()
+    dead = sorted(
+        name
+        for name, is_method in _definitions()
+        if not names[name] and not (is_method and attrs[name])
+    )
+    assert dead == [], f"defined but never referenced outside its definition and tests/: {dead}"
+
+
+def test_references_ignore_docstrings_strings_and_recursion():
+    source = '''
+import ff
+def used(): pass
+def lonely():
+    """lonely and used are only words here"""
+    return lonely() + len("lonely") + args.hidden
+used()
+ff.reached.method()
+'''
+    refs = _References(ast.parse(source), dotted_strings=True)
+    assert refs.names["used"] == 1 and refs.names["lonely"] == 0
+    assert refs.names["hidden"] == 0 and refs.attrs["hidden"] == 1
+    assert refs.names["reached"] == refs.names["method"] == 1
 
 
 def _unused_imports() -> list[str]:

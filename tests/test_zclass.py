@@ -27,7 +27,6 @@ from zclasskit.matfq import (
     is_unipotent,
     minpoly,
     regular_unipotent,
-    weil_embed,
 )
 from zclasskit import limits, zclass
 from zclasskit.zclass import (
@@ -39,6 +38,8 @@ from zclasskit.zclass import (
     z_equivalent,
     z_partition,
 )
+
+from reference import weil_embed
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -138,12 +139,18 @@ def test_builtin_filters_match_plain_lambdas(kind, n, ctx):
     # the built-in filters are tested on class reps only; the same predicate
     # as a plain lambda is tested on members until one matches
     table = instantiate(FamilySpec(kind, n), ctx)
-    for filt in (zclass.regular_unipotent_filter(ctx, n), zclass.regular_semisimple_filter(ctx)):
+    builtins = (
+        zclass.unipotent_filter(),
+        zclass.regular_unipotent_filter(ctx, n),
+        zclass.regular_semisimple_filter(ctx),
+    )
+    for filt in builtins:
         assert filt.class_function
         fast = z_partition(table, filt)
         slow = z_partition(table, lambda m, f=filt: f(m))
         assert _blocks(fast) == _blocks(slow)
         assert fast.zclass_count >= 1
+    assert not hasattr(is_unipotent, "class_function")  # the marked filter wraps it
 
 
 def test_partition_bound(monkeypatch):
