@@ -25,6 +25,7 @@ from .grpcore import (
     instantiate,
     parse_element_spec,
     parse_group_spec,
+    whole_group,
 )
 from .matfq import gl_conjugate_test, mat_literal, sl_conjugate_test
 from .paperlab import FAIL, run_experiment, verify_suite
@@ -197,6 +198,7 @@ def _cmd_h1(args):
             [table.mat_of(i) for i in table.ids()],
             ctx,
             r,
+            gens=whole_group(table).gens,
             label=f"{spec.label()}@{ext.name}",
         )
         payload = twisted_classes(carrier).summary()

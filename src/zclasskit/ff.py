@@ -144,6 +144,17 @@ def poly_eval(ctx: "FieldCtx", f: tuple[int, ...], a: int) -> int:
     return acc
 
 
+def poly_roots(ctx: "FieldCtx", f: tuple[int, ...]):
+    """The roots of f in the field, lazily in ascending code order: a scan
+    of the field, refused above SEARCH_CAP before it starts."""
+    if ctx.q > limits.SEARCH_CAP:
+        raise BoundExceeded(
+            f"root search in F_{ctx.name} (order {ctx.q}) exceeds "
+            f"SEARCH_CAP {limits.SEARCH_CAP}"
+        )
+    return (a for a in range(ctx.q) if poly_eval(ctx, f, a) == 0)
+
+
 def poly_deriv(ctx: "FieldCtx", f: tuple[int, ...]) -> tuple[int, ...]:
     out = []
     for i in range(1, len(f)):
@@ -629,17 +640,7 @@ def _as_code(ctx: FieldCtx, x) -> int:
 def _embedding_root(src: FieldCtx, dst: FieldCtx) -> int:
     if src.m == 1:
         return 0
-    if dst.q > limits.SEARCH_CAP:
-        raise BoundExceeded(
-            f"root search in F_{dst.name} (order {dst.q}) exceeds "
-            f"SEARCH_CAP {limits.SEARCH_CAP}"
-        )
-    modulus = src.modulus
-    rho0 = None
-    for cand in range(dst.q):
-        if poly_eval(dst, modulus, cand) == 0:
-            rho0 = cand
-            break
+    rho0 = next(poly_roots(dst, src.modulus), None)
     if rho0 is None:
         raise ConsistencyError(f"modulus of F_{src.name} has no root in F_{dst.name}")
     roots = []

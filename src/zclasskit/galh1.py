@@ -22,6 +22,7 @@ twisted classes are orbits walked under a -> g^-1 * a * F(g).
 """
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,7 +36,7 @@ from .ff import (
     _factorize,
     embed,
     make_field,
-    poly_eval,
+    poly_roots,
     power_class_count,
     prime_power,
 )
@@ -497,7 +498,7 @@ def diagonalizer_over_ext(g: Mat, ext: FieldCtx) -> Mat:
         raise ValueError("eigenbasis construction is for 2x2 matrices")
     g_up = mat_embed(g, ext)
     f_up = tuple(embed(g.ctx, ext, c).code for c in charpoly(g))
-    roots = [a for a in range(ext.q) if poly_eval(ext, f_up, a) == 0]
+    roots = list(itertools.islice(poly_roots(ext, f_up), 2))
     if len(roots) != 2:
         raise ValueError("characteristic polynomial does not split with two roots")
     D = Mat.diagonal(ext, roots)

@@ -10,7 +10,9 @@ stabilizer, certified by |C(r)|·|cl(r)| = |G|; any other centralizer is
 the conjugate t_b C(r) t_b^-1, cached per id. Subgroup conjugacy and
 normalizers test only the cosets t_b t_a^-1 C(a) that a pivot element a
 can be sent along, never the whole group. Orbits of other hashable points
-(twisted carriers, coset tables) are walked by key_orbits.
+are walked by key_orbits: twisted carriers, coset tables, and the closure
+of a generating set, which is the orbit of the identity under right
+multiplication by the generators.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import BadCharacteristic, BoundExceeded, ConsistencyError
+from . import limits
 from .ff import FieldCtx, _factorize, make_field, mult_generator, parse_field
-from .limits import max_group
 from .matfq import (
     Mat,
     centralizer_algebra,
@@ -43,9 +45,6 @@ DIHEDRAL = "dihedral"
 KINDS = (GL, SL, BOREL_GL, BOREL_SL, UNIPOTENT, HEISENBERG, DIHEDRAL)
 
 _DET_ONE_KINDS = (SL, BOREL_SL)
-
-# largest commutant algebra whose units a centralizer lists
-_COMMUTANT_CAP = 65536
 
 
 @dataclass(frozen=True)
@@ -198,20 +197,10 @@ def dihedral_generators(m: int, ctx: FieldCtx) -> tuple[Mat, Mat]:
 
 
 def standard_generators(spec: FamilySpec, ctx: FieldCtx) -> list[Mat]:
+    """The generators instantiate gives a triangular family."""
     n = spec.matrix_dim
     basis = _additive_basis(ctx)
-    if spec.kind == DIHEDRAL:
-        return list(dihedral_generators(spec.n, ctx))
     gens: list[Mat] = []
-    if spec.kind in (GL, SL):
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    gens.extend(_transvection(ctx, n, i, j, b) for b in basis)
-        if spec.kind == GL and ctx.q > 2:
-            g = mult_generator(ctx).code
-            gens.append(Mat.diagonal(ctx, [g] + [1] * (n - 1)))
-        return gens
     if spec.kind in (BOREL_GL, BOREL_SL, UNIPOTENT, HEISENBERG):
         for i in range(n):
             for j in range(i + 1, n):
@@ -515,7 +504,7 @@ def instantiate(
         ctx = dihedral_context(spec.n)
     _check_guard(spec, ctx)
     expected = family_order(spec, ctx)
-    bound = max_group(max_order)
+    bound = limits.max_group(max_order)
     if expected > bound:
         raise BoundExceeded(
             f"{spec.label()}@{ctx.name} has order {expected}, above bound {bound} "
@@ -542,35 +531,6 @@ def instantiate(
             f"formula says {expected}"
         )
     return table
-
-
-def _close(start, gens, within=None, cap=None) -> list[Mat]:
-    """FIFO closure of the start elements under right multiplication by gens.
-
-    Returns start followed by the new elements in discovery order. A
-    product outside within (a set or dict of encodings) means the member
-    set is not closed; more than cap elements means the bound is hit.
-    """
-    out = list(start)
-    seen = {m.data for m in out}
-    head = 0
-    while head < len(out):
-        cur = out[head]
-        head += 1
-        for g in gens:
-            nxt = cur * g
-            d = nxt.data
-            if d in seen:
-                continue
-            if within is not None and d not in within:
-                raise ConsistencyError("member set is not closed")
-            seen.add(d)
-            out.append(nxt)
-            if cap is not None and len(out) > cap:
-                raise BoundExceeded(
-                    f"closure exceeded bound {cap} (ZK_MAX_GROUP / --max-group)"
-                )
-    return out
 
 
 def _adjoin(group: list, gens: list, g, mul, within=None) -> list:
@@ -605,14 +565,10 @@ def _adjoin(group: list, gens: list, g, mul, within=None) -> list:
     return out
 
 
-def closure_generate(
-    ctx: FieldCtx,
-    gens,
-    *,
-    max_order: int | None = None,
-    family: FamilySpec | None = None,
-) -> GroupTable:
-    """Breadth-first closure of invertible generators, discovery-ordered."""
+def closure_generate(ctx: FieldCtx, gens, *, max_order: int | None = None) -> GroupTable:
+    """The group of invertible generators, discovery-ordered: the orbit of
+    the identity under right multiplication by the generators sorted by
+    encoding, walked breadth-first."""
     gens = sorted(gens, key=lambda m: m.data)
     if not gens:
         raise ValueError("need at least one generator")
@@ -622,8 +578,9 @@ def closure_generate(
             raise ValueError("generators must share one context and size")
         if g.det() == 0:
             raise ValueError("generators must be invertible")
-    elements = _close([Mat.identity(ctx, n)], gens, cap=max_group(max_order))
-    table = GroupTable(family, ctx, elements, gens)
+    moves = [lambda x, g=g: x * g for g in gens]
+    cap = limits.max_group(max_order)
+    table = GroupTable(None, ctx, next(key_orbits([Mat.identity(ctx, n)], moves, cap)), gens)
     table._gens_certified = True
     return table
 
@@ -738,14 +695,16 @@ def whole_group(table: GroupTable) -> Subgroup:
 # orbits of hashable points
 
 
-def key_orbits(seeds, moves):
+def key_orbits(seeds, moves, cap: int | None = None):
     """Orbits of hashable points under a list of moves, one for each seed
     no earlier orbit reached, in seed order.
 
     Each orbit is walked breadth-first and listed seed first. The moves
     generate the action of a finite group, so walking forward reaches the
     whole orbit and no two orbits meet; a walk that runs into an earlier
-    orbit raises ConsistencyError.
+    orbit raises ConsistencyError. An orbit growing past cap points raises
+    BoundExceeded: the cap is the group-order bound, since an orbit is no
+    larger than the group acting.
     """
     owner: dict = {}  # point -> number of the orbit that reached it
     number = 0
@@ -761,6 +720,10 @@ def key_orbits(seeds, moves):
                 if k is None:
                     owner[y] = number
                     orbit.append(y)
+                    if cap is not None and len(orbit) > cap:
+                        raise BoundExceeded(
+                            f"orbit exceeded bound {cap} (ZK_MAX_GROUP / --max-group)"
+                        )
                 elif k != number:
                     raise ConsistencyError("orbits of the moves overlap")
         number += 1
@@ -861,7 +824,7 @@ def _stabilizer(table: GroupTable, r: int) -> list[Mat]:
         if g.is_scalar():
             return list(table.elements)
         alg = centralizer_algebra(g)
-        if table.ctx.q**alg.dim <= _COMMUTANT_CAP:
+        if table.ctx.q**alg.dim <= limits.COMMUTANT_CAP:
             members = []
             for x in alg.units(1 if kind == SL else None):
                 i = table.index.get(x.data)

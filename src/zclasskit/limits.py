@@ -1,6 +1,7 @@
 """Resource bounds, overridable via environment or per call.
 
-ZK_MAX_GROUP  - largest group order instantiate() will accept (default 2e6).
+ZK_MAX_GROUP  - largest group order instantiate(), closure_generate() and a
+                seed partition's table will accept (default 2e6).
 ZK_MAX_FIELD  - largest field order make_field() will accept (default 2^20).
 """
 from __future__ import annotations
@@ -12,8 +13,9 @@ DEFAULT_MAX_FIELD = 2**20
 
 # Internal caps, not user-facing. Modules read them as limits.NAME at call
 # time; a BoundExceeded names the cap it hit and the value that hit it.
-SEARCH_CAP = 4_000_000  # largest field scanned for a subfield-embedding root
-FULL_TABLE_LIMIT = 100_000  # largest group the table route partitions whole
+SEARCH_CAP = 4_000_000  # largest field scanned for polynomial roots
+FULL_TABLE_LIMIT = 100_000  # largest group z_partition partitions whole
+COMMUTANT_CAP = 65536  # largest commutant algebra whose units a centralizer lists
 H1_FIELD_CAP = 2**62  # largest field built to realize roots of unity
 SPAN_CAP = 300_000  # largest linear span listed in witness searches
 UNIT_SCAN_CAP = 2**20  # largest field whose units power_class_count lists

@@ -46,14 +46,13 @@ from .matfq import (
 )
 from .zclass import (
     _refine,
+    _seed_partition,
     base_change_probe,
     regular_semisimple_filter,
     regular_unipotent_filter,
-    structural_z_equivalent,
     fusion_count,
     geometric_stabilize,
     growth_degree,
-    z_equivalent,
     z_partition,
 )
 
@@ -134,6 +133,25 @@ def _witness(predicted, computed, notes: dict) -> str:
     return f"{head} [{tail}]" if tail else head
 
 
+def _checked(exp_id: str, key: str, default, value):
+    """An override of the type of the parameter's default: an int for an
+    int or None (a bool is no int), a tuple of ints for a tuple (a single
+    int is a one-element tuple), else the default's own type."""
+    def is_int(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if isinstance(default, tuple):
+        value = (value,) if is_int(value) else value
+        ok = isinstance(value, tuple) and all(map(is_int, value))
+    elif default is None or is_int(default):
+        ok = is_int(value) or value is default
+    else:
+        ok = type(value) is type(default)
+    if not ok:
+        raise ValueError(f"experiment {exp_id!r}: parameter {key!r} cannot take {value!r}")
+    return value
+
+
 def run_experiment(exp_id: str, params: dict | None = None) -> Experiment:
     """Run one catalog experiment with defaults overridden by params."""
     entry = CATALOG.get(exp_id)
@@ -144,7 +162,7 @@ def run_experiment(exp_id: str, params: dict | None = None) -> Experiment:
     for key, value in (params or {}).items():
         if key not in merged:
             raise ValueError(f"experiment {exp_id!r} takes no parameter {key!r}")
-        merged[key] = value
+        merged[key] = _checked(exp_id, key, merged[key], value)
     start = time.perf_counter()
     computed, notes = entry.run(**merged)
     runtime = time.perf_counter() - start
@@ -250,9 +268,7 @@ def _run_sl3_unipotent(q: int, allow_bad_characteristic: bool) -> tuple[object, 
     rational_blocks = _refine(
         mats, lambda a, b: sl_conjugate_test(a, b) is not None
     )
-    z_blocks = _refine(
-        mats, lambda a, b: structural_z_equivalent(SL, a, b) is not None
-    )
+    z_blocks = _seed_partition(spec, ctx, mats, None)
     notes = {
         "route": "structural",
         "reps": [mat_literal(mats[b[0]]) for b in rational_blocks],
@@ -289,9 +305,7 @@ def _run_tori_gln(n: int, q: int) -> tuple[object, dict]:
             if poly_is_squarefree(ctx, (c0, c1, c2, 1))
         ]
         mats = [Mat.companion(ctx, f) for f in polys]
-        blocks = _refine(
-            mats, lambda a, b: structural_z_equivalent(GL, a, b) is not None
-        )
+        blocks = _seed_partition(FamilySpec(GL, 3), ctx, mats, None)
         computed = len(blocks)
         reps = [mat_literal(mats[b[0]]) for b in blocks]
     else:
@@ -339,11 +353,8 @@ def _run_borel_counterexample(which: str) -> tuple[object, dict]:
 
 def _run_heisenberg(q: int) -> tuple[object, dict]:
     ctx = parse_field(str(q))
-    table = instantiate(FamilySpec(UNIPOTENT, 3), ctx)
     mats = [heisenberg_element(t, ctx) for t in ctx.units()]
-    blocks = _refine(
-        mats, lambda a, b: z_equivalent(table, a, b) is not None
-    )
+    blocks = _seed_partition(FamilySpec(UNIPOTENT, 3), ctx, mats, None)
     notes = {
         "candidates": len(mats),
         "reps": [mat_literal(mats[b[0]]) for b in blocks],

@@ -17,8 +17,10 @@ and scans; it works for any family within the size bound. The structural
 route works in GL/SL ambients for scalar or regular elements (those whose
 commutant algebra has the minimal dimension n): there the centralizer is
 the unit group of the commutant, and centralizer conjugacy reduces to
-element conjugacy onto some generator of the other commutant. The routes
-are cross-validated against each other wherever both apply.
+element conjugacy onto some generator of the other commutant. A seed
+partition takes the structural route wherever it applies, as fusion
+counts and growth degrees do; the routes are cross-validated against
+each other wherever both apply.
 """
 from __future__ import annotations
 
@@ -564,14 +566,16 @@ def _refine(items: Sequence, equiv) -> tuple[tuple[int, ...], ...]:
 def _seed_partition(
     family: FamilySpec, ext: FieldCtx, seeds_up: list[Mat], max_order: int | None
 ) -> tuple[tuple[int, ...], ...]:
-    order = family_order(family, ext)
-    structural_ok = family.kind in (GL, SL) and all(
+    """The seeds' blocks under z-equivalence in the family over ext: by the
+    structural route when the ambient is GL/SL and every seed is scalar or
+    regular, else on the group table within the group-order bound."""
+    if family.kind in (GL, SL) and all(
         s.is_scalar() or _commutant_if_regular(s) is not None for s in seeds_up
-    )
-    if structural_ok and order > limits.FULL_TABLE_LIMIT:
+    ):
         return _refine(
             seeds_up, lambda a, b: structural_z_equivalent(family.kind, a, b) is not None
         )
+    order = family_order(family, ext)
     if order <= limits.max_group(max_order):
         tbl = instantiate(family, ext, max_order=max_order)
         return _refine(seeds_up, lambda a, b: z_equivalent(tbl, a, b) is not None)

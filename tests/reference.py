@@ -8,9 +8,67 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from zclasskit import grpcore
 from zclasskit.errors import ConsistencyError
-from zclasskit.ff import FieldCtx, FqElem, _as_code, _embed_code, make_field
+from zclasskit.ff import FieldCtx, FqElem, _as_code, _embed_code, make_field, mult_generator
+from zclasskit.grpcore import (
+    DIHEDRAL,
+    GL,
+    SL,
+    FamilySpec,
+    _additive_basis,
+    _transvection,
+    dihedral_generators,
+)
 from zclasskit.matfq import Mat, _apply, is_semisimple, is_unipotent, mat_order
+
+
+def standard_generators(spec: FamilySpec, ctx: FieldCtx) -> list[Mat]:
+    """A generating set of any built-in family, independent of the pair
+    the engine walks GL_n/SL_n under: every elementary transvection over an
+    additive basis of F_q, with diag(w, 1, ..., 1) for GL; the dihedral
+    rotation and flip; the engine's own triangular generators."""
+    n = spec.matrix_dim
+    basis = _additive_basis(ctx)
+    if spec.kind == DIHEDRAL:
+        return list(dihedral_generators(spec.n, ctx))
+    gens: list[Mat] = []
+    if spec.kind in (GL, SL):
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    gens.extend(_transvection(ctx, n, i, j, b) for b in basis)
+        if spec.kind == GL and ctx.q > 2:
+            g = mult_generator(ctx).code
+            gens.append(Mat.diagonal(ctx, [g] + [1] * (n - 1)))
+        return gens
+    return grpcore.standard_generators(spec, ctx)
+
+
+def closure_walk(start, gens, within=None) -> list[Mat]:
+    """FIFO closure of the start elements under right multiplication by
+    gens, the walk closure_generate made before it ran on key_orbits.
+
+    Returns start followed by the new elements in discovery order. A
+    product outside within (a set or dict of encodings) means the member
+    set is not closed.
+    """
+    out = list(start)
+    seen = {m.data for m in out}
+    head = 0
+    while head < len(out):
+        cur = out[head]
+        head += 1
+        for g in gens:
+            nxt = cur * g
+            d = nxt.data
+            if d in seen:
+                continue
+            if within is not None and d not in within:
+                raise ConsistencyError("member set is not closed")
+            seen.add(d)
+            out.append(nxt)
+    return out
 
 
 @dataclass(frozen=True)

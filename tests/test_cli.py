@@ -262,6 +262,31 @@ def test_experiment_bad_param_exit_2(capsys):
     assert "unknown experiment" in err
 
 
+@pytest.mark.parametrize(
+    "exp_id,param",
+    [
+        ("h1-triple", "max_n=x"),
+        ("sln-unipotent-forms", "n=abc"),
+        ("dihedral", "m=true"),
+        ("h1-triple", "qs=2,x"),
+    ],
+)
+def test_experiment_mistyped_param_exit_2(capsys, exp_id, param):
+    code, out, err = run(capsys, "experiment", exp_id, "--param", param, "--no-footer")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert f"parameter {param.split('=')[0]!r}" in err
+
+
+def test_experiment_single_int_tuple_param(capsys):
+    code, out, _ = run(
+        capsys, "experiment", "h1-triple", "--param", "qs=4", "--param", "max_n=2",
+        "--format", "json", "--no-footer",
+    )
+    assert code == 0
+    assert json.loads(out)["params"]["qs"] == [4]
+
+
 def test_verify_smoke_exit_0(capsys):
     code, out, _ = run(capsys, "verify", "smoke", "--no-footer")
     assert code == 0

@@ -20,7 +20,6 @@ from zclasskit.grpcore import (
     SL,
     FamilySpec,
     GroupTable,
-    _close,
     _linear_generators,
     centralizer,
     conjugacy_classes,
@@ -29,10 +28,11 @@ from zclasskit.grpcore import (
     instantiate,
     normalizer,
     parse_group_spec,
-    standard_generators,
     subgroups_conjugate,
 )
 from zclasskit.matfq import Mat, regular_unipotent
+
+from reference import closure_walk, standard_generators
 
 F4 = make_field(2, 2)
 
@@ -165,7 +165,7 @@ def test_sl3_f4_classes_and_regular_unipotent_centralizers():
     # the fallback set, not the pair the engine walks, so the reference
     # orbits come from different generators
     _, fallback = _linear_generators(FamilySpec(SL, 3), F4)
-    assert len(_close([table.mat_of(table.identity_id)], fallback, within=table.index)) == 60480
+    assert len(closure_walk([table.mat_of(table.identity_id)], fallback, table.index)) == 60480
     index, elements = table.index, table.elements
     conj = [[index[(g * m * gi).data] for m in elements] for g, gi in
             ((g, g.inverse()) for g in fallback)]

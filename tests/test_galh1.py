@@ -610,6 +610,12 @@ def test_diagonalizer_over_ext_splits_anisotropic_element():
     assert F9.pow(D[0, 0], 3) == D[1, 1]
 
 
+def test_diagonalizer_root_scan_is_bounded(monkeypatch):
+    monkeypatch.setattr(limits, "SEARCH_CAP", F9.q - 1)
+    with pytest.raises(BoundExceeded, match=f"exceeds SEARCH_CAP {F9.q - 1}"):
+        diagonalizer_over_ext(Mat.companion(F3, (1, 0, 1)), F9)
+
+
 def test_diagonalizer_rejects_non_split():
     u = Mat.from_rows(F3, [[1, 1], [0, 1]])
     with pytest.raises(ValueError, match="two roots"):

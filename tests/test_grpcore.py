@@ -31,19 +31,27 @@ from zclasskit.grpcore import (
     parse_element_spec,
     parse_group_spec,
     quotient,
-    standard_generators,
     subgroup_from_members,
     subgroups_conjugate,
     whole_group,
 )
 from zclasskit.matfq import Mat, heisenberg_element, mat_order, regular_unipotent
 
-from reference import weil_embed
+from reference import closure_walk, standard_generators, weil_embed
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
+
+
+def closure(ctx, gens):
+    """closure_generate, with its discovery order checked against the FIFO
+    closure walk it replaced."""
+    table = closure_generate(ctx, gens)
+    walk = closure_walk([Mat.identity(ctx, table.n)], sorted(gens, key=lambda m: m.data))
+    assert [m.data for m in table.elements] == [m.data for m in walk]
+    return table
 
 
 def element_order(table, eid):
@@ -101,8 +109,7 @@ def test_row_enumerator_matches_closure(kind, n, q):
     # the closure over the standard generators is the independent reference
     ctx = make_field(*prime_power(q))
     spec = FamilySpec(kind, n, allow_bad_characteristic=True)
-    closure = closure_generate(ctx, standard_generators(spec, ctx))
-    want = sorted(m.data for m in closure.elements)
+    want = sorted(m.data for m in closure(ctx, standard_generators(spec, ctx)).elements)
     assert [m.data for m in instantiate(spec, ctx).elements] == want
 
 
@@ -216,10 +223,10 @@ def test_functoriality_embedding():
 
 
 def test_closure_trivial_and_discovery_order():
-    table = closure_generate(F3, [Mat.identity(F3, 2)])
+    table = closure(F3, [Mat.identity(F3, 2)])
     assert table.order == 1
     gens = [Mat.from_rows(F3, [[1, 1], [0, 1]]), Mat.from_rows(F3, [[1, 0], [1, 1]])]
-    table = closure_generate(F3, gens)
+    table = closure(F3, gens)
     assert table.order == 24  # 3 * (9 - 1)
     assert table.elements[0] == Mat.identity(F3, 2)
     assert table.elements[1] == Mat.from_rows(F3, [[1, 0], [1, 1]])
@@ -228,8 +235,15 @@ def test_closure_trivial_and_discovery_order():
 def test_closure_dihedral_count():
     ctx = dihedral_context(7)
     rot, refl = dihedral_generators(7, ctx)
-    table = closure_generate(ctx, [rot, refl])
+    table = closure(ctx, [rot, refl])
     assert table.order == 14
+
+
+@pytest.mark.parametrize("group", ["gl:2@3", "sl:2@5", "borel-gl:2@3", "u3@2", "dihedral:5"])
+def test_closure_of_standard_generators(group):
+    spec, ctx = parse_group_spec(group)
+    ctx = ctx or dihedral_context(spec.n)
+    assert closure(ctx, standard_generators(spec, ctx)).order == family_order(spec, ctx)
 
 
 def test_closure_bound_and_bad_input():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -151,6 +152,32 @@ def test_unknown_experiment_and_param():
         run_experiment("gl9-zclasses")
     with pytest.raises(ValueError, match="takes no parameter"):
         run_experiment("dihedral", {"q": 5})
+
+
+@pytest.mark.parametrize(
+    "exp_id,params",
+    [
+        ("h1-triple", {"qs": (2, "3")}),
+        ("h1-triple", {"max_n": "x"}),
+        ("sln-unipotent-forms", {"n": "abc"}),
+        ("dihedral", {"m": True}),  # ran D_1 and reported fail
+        ("curious", {"allow_bad_characteristic": 1}),
+        ("gl2-zclasses", {"max_r": "x"}),
+        ("borel-counterexample", {"which": 3}),
+    ],
+)
+def test_mistyped_param_names_itself(exp_id, params):
+    (key, value), = params.items()
+    with pytest.raises(ValueError, match=re.escape(f"parameter {key!r}")) as exc:
+        run_experiment(exp_id, params)
+    assert str(exc.value).endswith(f"cannot take {value!r}")
+
+
+def test_typed_params_accepted():
+    # a single int was a TypeError inside the runner; it is a one-element tuple
+    assert run_experiment("h1-triple", {"max_n": 2, "qs": 4}).params["qs"] == (4,)
+    assert run_experiment("gl2-zclasses", {"q": 2, "max_r": 1}).params["max_r"] == 1
+    assert run_experiment("gl2-zclasses", {"q": 2, "max_r": None}).verdict == PASS
 
 
 def test_determinism_modulo_runtime():

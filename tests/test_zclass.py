@@ -25,6 +25,7 @@ from zclasskit.matfq import (
     centralizer_algebra,
     charpoly,
     is_unipotent,
+    mat_embed,
     minpoly,
     regular_unipotent,
 )
@@ -240,26 +241,44 @@ def test_z_equivalence_is_equivalence_relation():
 # structural route
 
 
-def test_structural_agrees_with_table_route_gl2_f3():
-    table = instantiate(FamilySpec(GL, 2), F3)
-    reps = [table.mat_of(c.rep_id) for c in conjugacy_classes(table)]
-    for a, b in itertools.product(reps, repeat=2):
-        got = structural_z_equivalent(GL, a, b)
+def _check_routes(table, seeds):
+    """The structural route against the table route on every pair of seeds,
+    and the seed partition, which takes the structural route here, against
+    the one leader partition over the table's z_equivalent."""
+    kind = table.family.kind
+    for a, b in itertools.product(seeds, repeat=2):
+        got = structural_z_equivalent(kind, a, b)
         want = z_equivalent(table, a, b)
         assert (got is None) == (want is None)
         if got is not None:
-            assert got.det() != 0
+            assert got.det() == 1 if kind == SL else got.det() != 0
+    want = zclass._refine(seeds, lambda a, b: z_equivalent(table, a, b) is not None)
+    assert zclass._seed_partition(table.family, table.ctx, seeds, None) == want
+
+
+def test_structural_agrees_with_table_route_gl2_f3():
+    table = instantiate(FamilySpec(GL, 2), F3)
+    _check_routes(table, [table.mat_of(c.rep_id) for c in conjugacy_classes(table)])
 
 
 def test_structural_agrees_with_table_route_sl2_f3():
     table = instantiate(FamilySpec(SL, 2), F3)
-    reps = [table.mat_of(c.rep_id) for c in conjugacy_classes(table)]
-    for a, b in itertools.product(reps, repeat=2):
-        got = structural_z_equivalent(SL, a, b)
-        want = z_equivalent(table, a, b)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got.det() == 1
+    _check_routes(table, [table.mat_of(c.rep_id) for c in conjugacy_classes(table)])
+
+
+@pytest.mark.filterwarnings("ignore:characteristic")
+@pytest.mark.parametrize("kind", [GL, SL])
+@pytest.mark.parametrize("ctx", [F2, F4, F5], ids=["f2", "f4", "f5"])
+def test_structural_agrees_with_table_route_class_reps(kind, ctx):
+    table = instantiate(FamilySpec(kind, 2, allow_bad_characteristic=True), ctx)
+    _check_routes(table, [table.mat_of(c.rep_id) for c in conjugacy_classes(table)])
+
+
+def test_structural_agrees_with_table_route_gl2_f3_reps_over_f9():
+    # the gl2-zclasses tower at r = 2
+    F9 = make_field(3, 2)
+    table = instantiate(FamilySpec(GL, 2), F9)
+    _check_routes(table, [mat_embed(s, F9) for s in _gl2_f3_class_reps()])
 
 
 def _squarefree_invertible_cubics(ctx):
