@@ -48,7 +48,7 @@ FILTERS = {
 
 
 def _group(args, text: str) -> tuple[FamilySpec, object]:
-    spec, ctx = parse_group_spec(text, max_field_order=args.max_field)
+    spec, ctx = parse_group_spec(text)
     if args.allow_bad_characteristic:
         spec = FamilySpec(spec.kind, spec.n, allow_bad_characteristic=True)
     return spec, ctx
@@ -68,7 +68,7 @@ def _strip_runtime(obj):
 
 def _cmd_zclasses(args):
     spec, ctx = _group(args, args.group)
-    table = instantiate(spec, ctx, max_order=args.max_group)
+    table = instantiate(spec, ctx)
     pred = None
     if args.filter is not None:
         factory = FILTERS.get(args.filter)
@@ -84,7 +84,7 @@ def _cmd_zclasses(args):
 
 def _cmd_centralizer(args):
     spec, ctx = _group(args, args.group)
-    table = instantiate(spec, ctx, max_order=args.max_group)
+    table = instantiate(spec, ctx)
     g = parse_element_spec(spec, table.ctx, args.element)
     try:
         gid = table.id_of(g)
@@ -130,7 +130,7 @@ def _cmd_conjtest(args):
     else:
         if args.sl:
             raise ValueError("--sl applies to gl and sl families only")
-        table = instantiate(spec, ctx, max_order=args.max_group)
+        table = instantiate(spec, ctx)
         a = parse_element_spec(spec, table.ctx, args.first)
         b = parse_element_spec(spec, table.ctx, args.second)
         for lit, m in ((args.first, a), (args.second, b)):
@@ -160,7 +160,7 @@ def _cmd_probe(args):
         raise ValueError("probe needs an even number of elements (pairs)")
     mats = [parse_element_spec(spec, ctx, t) for t in args.elements]
     pairs = list(zip(mats[::2], mats[1::2]))
-    rep = base_change_probe(spec, ctx, args.r, pairs, max_order=args.max_group)
+    rep = base_change_probe(spec, ctx, args.r, pairs)
     payload = rep.summary()
     rows = []
     for row, (a, b) in zip(rep.rows, pairs):
@@ -192,8 +192,8 @@ def _cmd_h1(args):
         r = args.frobenius
         if r < 1:
             raise ValueError("--frobenius must be a positive degree")
-        ext = make_field(ctx.p, ctx.m * r, max_order=args.max_field)
-        table = instantiate(spec, ext, max_order=args.max_group)
+        ext = make_field(ctx.p, ctx.m * r)
+        table = instantiate(spec, ext)
         carrier = twisted_from_matrices(
             [table.mat_of(i) for i in table.ids()],
             ctx,
@@ -363,9 +363,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     start = time.perf_counter()
+    bounds = limits.INVOCATION.set(
+        {"ZK_MAX_GROUP": args.max_group, "ZK_MAX_FIELD": args.max_field}
+    )
     try:
-        limits.max_group(args.max_group)  # a bad bound is a usage error on every subcommand
-        limits.max_field(args.max_field)
+        limits.max_group()  # a bad bound is a usage error on every subcommand
+        limits.max_field()
         payload, rows, code = args.handler(args)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -376,6 +379,8 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
+    finally:
+        limits.INVOCATION.reset(bounds)
     print(report.render(args.format, _strip_runtime(payload), rows))
     if not args.no_footer:
         print(f"# runtime: {time.perf_counter() - start:.3f}s", file=sys.stderr)

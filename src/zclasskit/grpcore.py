@@ -7,12 +7,13 @@ conjugation orbit is walked once under the table's small generating set,
 recording a Schreier tree, so every member b of the orbit of its root r
 has a transversal t_b with t_b r t_b^-1 = b. A root's centralizer is its
 stabilizer, certified by |C(r)|·|cl(r)| = |G|; any other centralizer is
-the conjugate t_b C(r) t_b^-1, cached per id. Subgroup conjugacy and
-normalizers test only the cosets t_b t_a^-1 C(a) that a pivot element a
-can be sent along, never the whole group. Orbits of other hashable points
-are walked by key_orbits: twisted carriers, coset tables, and the closure
-of a generating set, which is the orbit of the identity under right
-multiplication by the generators.
+the conjugate t_b C(r) t_b^-1, cached per id as its members and
+generators. Subgroup conjugacy and normalizers test only the cosets
+t_b t_a^-1 C(a) that a pivot element a can be sent along, never the whole
+group, and compare no invariant of the subgroups first. Orbits of other
+hashable points are walked by key_orbits: twisted carriers, coset tables,
+and the closure of a generating set, which is the orbit of the identity
+under right multiplication by the generators.
 """
 from __future__ import annotations
 
@@ -596,14 +597,13 @@ class Subgroup:
     under a real table.
     """
 
-    __slots__ = ("parent", "members", "member_set", "gens", "_finger", "_pivot")
+    __slots__ = ("parent", "members", "member_set", "gens", "_pivot")
 
     def __init__(self, parent, members: list[Mat], gens: list[Mat]):
         self.parent = parent
         self.members = tuple(sorted(members, key=lambda m: m.data))
         self.member_set = frozenset(self.members)
         self.gens = tuple(gens)
-        self._finger = [None]  # one cell, shared by conjugate centralizers
         self._pivot = None  # id of the element this is the centralizer of, if built so
         if parent.order % len(self.members):
             raise ConsistencyError("subgroup order violates Lagrange")
@@ -624,26 +624,12 @@ class Subgroup:
     def is_abelian(self) -> bool:
         return all(a * b == b * a for a in self.gens for b in self.gens)
 
-    def center_order(self) -> int:
-        return sum(1 for m in self.members if all(m * g == g * m for g in self.gens))
-
     def order_multiset(self) -> tuple[tuple[int, int], ...]:
         counts: dict[int, int] = {}
         for m in self.members:
             k = mat_order(m)
             counts[k] = counts.get(k, 0) + 1
         return tuple(sorted(counts.items()))
-
-    def fingerprint(self):
-        cell = self._finger
-        if cell[0] is None:
-            cell[0] = (
-                self.order,
-                self.is_abelian(),
-                self.center_order(),
-                self.order_multiset(),
-            )
-        return cell[0]
 
     def __repr__(self) -> str:
         return f"Subgroup(order {self.order} of {self.parent!r})"
@@ -882,33 +868,33 @@ def centralizer(table: GroupTable, g_id: int) -> Subgroup:
 
     For the root r of g's orbit this is the stabilizer of r, certified by
     |C(r)|·|cl(r)| = |G|; for g = t r t^-1 it is t C(r) t^-1, built from
-    the table's own elements and sharing C(r)'s fingerprint.
+    the table's own elements.
     """
     sub = Subgroup.__new__(Subgroup)
     sub.parent = table
-    sub.members, sub.member_set, sub.gens, sub._finger = _centralizer_parts(table, g_id)
+    sub.members, sub.member_set, sub.gens = _centralizer_parts(table, g_id)
     sub._pivot = g_id
     return sub
 
 
 def _centralizer_parts(table: GroupTable, g_id: int) -> tuple:
-    """(members, member set, generators, fingerprint cell) of C(g), from
-    the table's cache. The cache keeps these parts rather than subgroups,
-    so it holds no reference back to the table. Once this returns, g's
-    orbit is certified to be all of cl(g)."""
+    """(members, member set, generators) of C(g), from the table's cache.
+    The cache keeps these parts rather than subgroups, so it holds no
+    reference back to the table. Once this returns, g's orbit is certified
+    to be all of cl(g)."""
     parts = table._centralizers.get(g_id)
     if parts is not None:
         return parts
     root = _walk(table, g_id)
     if root != g_id:
-        r_members, _, r_gens, finger = _centralizer_parts(table, root)
+        r_members, _, r_gens = _centralizer_parts(table, root)
         t, ti = _transversal(table, g_id)
         elements, index = table.elements, table.index
         members = sorted(
             (elements[index[(t * m * ti).data]] for m in r_members), key=lambda m: m.data
         )
         gens = tuple(elements[index[(t * m * ti).data]] for m in r_gens)
-        parts = tuple(members), frozenset(members), gens, finger
+        parts = tuple(members), frozenset(members), gens
     else:
         members = _stabilizer(table, g_id)
         if len(members) * len(table._orbits[g_id]) != table.order:
@@ -919,7 +905,7 @@ def _centralizer_parts(table: GroupTable, g_id: int) -> tuple:
             sub = whole_group(table)
         else:
             sub = subgroup_from_members(table, members)
-        parts = sub.members, sub.member_set, sub.gens, sub._finger
+        parts = sub.members, sub.member_set, sub.gens
     table._centralizers[g_id] = parts
     return parts
 
@@ -1009,15 +995,13 @@ def normalizer(table: GroupTable, H: Subgroup) -> Subgroup:
 
 
 def subgroups_conjugate(table: GroupTable, H1: Subgroup, H2: Subgroup) -> int | None:
-    """Id of the least-encoding x with x H1 x^-1 = H2, or None; fingerprints
-    prefilter. Equal member sets short-cut to the identity's id, which need
-    not be the least element of N(H1)."""
+    """Id of the least-encoding x with x H1 x^-1 = H2, or None: the first
+    hit of the conjugator walk. Equal member sets short-cut to the
+    identity's id, which need not be the least element of N(H1)."""
     if H1.order != H2.order:
         return None
     if H1.member_set == H2.member_set:
         return table.identity_id
-    if H1.fingerprint() != H2.fingerprint():
-        return None
     return next(_conjugators(table, H1, H2), None)
 
 

@@ -1,12 +1,16 @@
-"""Resource bounds, overridable via environment or per call.
+"""Resource bounds, overridable via environment, per invocation or per call.
 
 ZK_MAX_GROUP  - largest group order instantiate(), closure_generate() and a
                 seed partition's table will accept (default 2e6).
 ZK_MAX_FIELD  - largest field order make_field() will accept (default 2^20).
+
+The command line's --max-group and --max-field set INVOCATION for the
+whole command, so they act wherever the environment variables would.
 """
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar
 
 DEFAULT_MAX_GROUP = 2_000_000
 DEFAULT_MAX_FIELD = 2**20
@@ -20,11 +24,17 @@ H1_FIELD_CAP = 2**62  # largest field built to realize roots of unity
 SPAN_CAP = 300_000  # largest linear span listed in witness searches
 UNIT_SCAN_CAP = 2**20  # largest field whose units power_class_count lists
 
+# environment variable -> the value its flag gave this invocation, or None
+INVOCATION: ContextVar[dict] = ContextVar("INVOCATION", default={})
+
 
 def _bound(env: str, flag: str, default: int, override: int | None) -> int:
-    """A resource bound: the override when given, else the environment
-    variable, else the default. Either source must be a positive integer,
-    else ValueError naming the source."""
+    """A resource bound: the override when given, else the invocation's
+    flag, else the environment variable, else the default. Each source
+    must be a positive integer, else ValueError naming the flag or the
+    variable."""
+    if override is None:
+        override = INVOCATION.get().get(env)
     raw, source = (os.environ.get(env), env) if override is None else (override, flag)
     if raw is None or raw == "":
         return default

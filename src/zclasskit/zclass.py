@@ -14,13 +14,13 @@ claim is made beyond the certified range.
 
 Two computation routes coexist. The table route instantiates the group
 and scans; it works for any family within the size bound. The structural
-route works in GL/SL ambients for scalar or regular elements (those whose
-commutant algebra has the minimal dimension n): there the centralizer is
-the unit group of the commutant, and centralizer conjugacy reduces to
-element conjugacy onto some generator of the other commutant. A seed
-partition takes the structural route wherever it applies, as fusion
-counts and growth degrees do; the routes are cross-validated against
-each other wherever both apply.
+route works in GL/SL ambients for scalar or regular elements (those with
+one invariant factor, whose commutant algebra has the minimal dimension
+n): there the centralizer is the unit group of the commutant, and
+centralizer conjugacy reduces to element conjugacy onto some generator
+of the other commutant. A seed partition takes the structural route
+wherever it applies, as fusion counts and growth degrees do; the routes
+are cross-validated against each other wherever both apply.
 """
 from __future__ import annotations
 
@@ -49,10 +49,10 @@ from .matfq import (
     centralizer_algebra,
     charpoly,
     gl_conjugate_test,
+    invariant_factors,
     is_unipotent,
     mat_embed,
     mat_literal,
-    minpoly,
     sl_conjugate_test,
 )
 
@@ -73,7 +73,6 @@ class ZBlock:
     rep_id: int
     class_ids: tuple[int, ...]
     centralizer: Subgroup
-    fingerprint: tuple
 
     @property
     def class_count(self) -> int:
@@ -96,6 +95,8 @@ class ZPartition:
         raise KeyError(f"class rep {class_rep_id} is not in this partition")
 
     def summary(self) -> dict:
+        """Each block with its centralizer's invariants, computed here: only
+        rendered output pays for element orders."""
         return {
             "group": group_label(self.table),
             "zclass_count": self.zclass_count,
@@ -107,9 +108,11 @@ class ZPartition:
                     ],
                     "centralizer_order": b.centralizer.order,
                     "fingerprint": {
-                        "centralizer_order": b.fingerprint[0],
-                        "abelian": b.fingerprint[1],
-                        "element_orders": [list(p) for p in b.fingerprint[2]],
+                        "centralizer_order": b.centralizer.order,
+                        "abelian": b.centralizer.is_abelian(),
+                        "element_orders": [
+                            list(p) for p in b.centralizer.order_multiset()
+                        ],
                     },
                 }
                 for b in self.blocks
@@ -125,7 +128,7 @@ class ZPartition:
                     mat_literal(self.table.mat_of(b.rep_id)),
                     b.class_count,
                     b.centralizer.order,
-                    b.fingerprint[1],
+                    b.centralizer.is_abelian(),
                 ]
             )
         return rows
@@ -137,10 +140,8 @@ def _partition_classes(table: GroupTable, chosen) -> tuple[ZBlock, ...]:
     blocks = _refine(zs, lambda a, b: subgroups_conjugate(table, a, b) is not None)
     out = []
     for block in blocks:
-        z = zs[block[0]]
-        order, abelian, _, element_orders = z.fingerprint()
         reps = tuple(chosen[i].rep_id for i in block)
-        out.append(ZBlock(reps[0], reps, z, (order, abelian, element_orders)))
+        out.append(ZBlock(reps[0], reps, zs[block[0]]))
     return tuple(out)
 
 
@@ -250,20 +251,15 @@ def z_equivalent(table: GroupTable, g, h) -> Mat | None:
     return x
 
 
-def _commutant_if_regular(g: Mat):
-    alg = centralizer_algebra(g)
-    return alg if alg.dim == g.n else None
-
-
 def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
     """Table-free z-equivalence in a GL or SL ambient.
 
     Supported elements: scalars (centralizer is everything) and regular
-    elements (commutant = polynomials in the element, dimension n). For
-    regular g, h the centralizers are conjugate iff g is conjugate, with
-    admissible determinant, onto some generator of h's commutant; the
-    generators are enumerated as the commutant elements sharing g's
-    characteristic polynomial.
+    elements (one invariant factor; commutant = polynomials in the
+    element, dimension n). For regular g, h the centralizers are conjugate
+    iff g is conjugate, with admissible determinant, onto some generator
+    of h's commutant; the generators are enumerated as the commutant
+    elements sharing g's invariant factors.
     """
     if kind not in (GL, SL):
         raise ValueError(f"structural route supports gl/sl ambients, not {kind!r}")
@@ -273,18 +269,14 @@ def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
         raise ValueError("sl ambient needs determinant-1 elements")
     if g.is_scalar() or h.is_scalar():
         return Mat.identity(g.ctx, g.n) if g.is_scalar() and h.is_scalar() else None
-    if _commutant_if_regular(g) is None:
+    target = invariant_factors(g)
+    alg_h = centralizer_algebra(h)
+    if len(target) != 1 or alg_h.dim != h.n:
         raise ValueError("structural route supports scalar or regular elements only")
-    alg_h = _commutant_if_regular(h)
-    if alg_h is None:
-        raise ValueError("structural route supports scalar or regular elements only")
-    target = charpoly(g)
     tr, dt = g.trace(), g.det()
     test = gl_conjugate_test if kind == GL else sl_conjugate_test
     for y in alg_h.elements():
-        if y.trace() != tr or y.det() != dt:
-            continue
-        if charpoly(y) != target or minpoly(y) != target:
+        if y.trace() != tr or y.det() != dt or invariant_factors(y) != target:
             continue
         w = test(y, g)
         if w is not None:
@@ -570,7 +562,7 @@ def _seed_partition(
     structural route when the ambient is GL/SL and every seed is scalar or
     regular, else on the group table within the group-order bound."""
     if family.kind in (GL, SL) and all(
-        s.is_scalar() or _commutant_if_regular(s) is not None for s in seeds_up
+        s.is_scalar() or len(invariant_factors(s)) == 1 for s in seeds_up
     ):
         return _refine(
             seeds_up, lambda a, b: structural_z_equivalent(family.kind, a, b) is not None

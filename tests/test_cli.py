@@ -7,7 +7,7 @@ import pytest
 from zclasskit.cli import main
 from zclasskit.ff import make_field
 from zclasskit.grpcore import GL, FamilySpec, conjugacy_classes, instantiate
-from zclasskit import paperlab
+from zclasskit import limits, paperlab
 
 
 def run(capsys, *argv):
@@ -339,6 +339,33 @@ def test_bound_env_must_be_positive(capsys, monkeypatch, env):
     code, _, err = run(capsys, "zclasses", "gl:2@3^1")
     assert code == 2
     assert f"{env} must be positive, got 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zclasses", "gl:2@9"],
+        ["probe", "borel-gl:2", "2", "3", "identity", "u_beta:1"],
+        ["h1", "--mu", "3", "--q", "7"],
+        ["experiment", "gl2-zclasses"],
+        ["verify", "smoke"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize(
+    "flag, env, value",
+    [("--max-group", "ZK_MAX_GROUP", "10"), ("--max-field", "ZK_MAX_FIELD", "4")],
+)
+def test_bound_flag_acts_as_env(capsys, monkeypatch, argv, flag, env, value):
+    # a flag bounds the whole invocation, as its environment variable does,
+    # and ends with it
+    for var in ("ZK_MAX_GROUP", "ZK_MAX_FIELD"):
+        monkeypatch.delenv(var, raising=False)
+    by_flag = run(capsys, *argv, flag, value, "--no-footer")
+    assert limits.max_group() == limits.DEFAULT_MAX_GROUP
+    assert limits.max_field() == limits.DEFAULT_MAX_FIELD
+    monkeypatch.setenv(env, value)
+    assert by_flag == run(capsys, *argv, "--no-footer")
 
 
 def test_bad_characteristic_flag(capsys):

@@ -150,14 +150,20 @@ def test_engine_matches_scans(spec, q):
         assert z.member_ids == scan_centralizer(cay, g)
 
     reps = [centralizer(table, rep) for rep, _ in want]
-    ids = [(set(z.member_ids), [table.id_of(m) for m in z.gens]) for z in reps]
-    for z, (h_ids, h_gens) in zip(reps, ids):
-        assert normalizer(table, z).member_ids == scan_normalizer(cay, h_ids, h_gens)
-    for z1, (h1, h1_gens) in zip(reps, ids):
-        for z2, (h2, _) in zip(reps, ids):
-            assert subgroups_conjugate(table, z1, z2) == scan_conjugator(
-                table, cay, h1, h1_gens, h2
-            )
+    norms = []
+    for z in reps:
+        h_ids, h_gens = set(z.member_ids), [table.id_of(m) for m in z.gens]
+        norms.append(normalizer(table, z))
+        assert norms[-1].member_ids == scan_normalizer(cay, h_ids, h_gens)
+    # centralizers take the whole-coset branch of the conjugator walk, the
+    # normalizers (built from their members) the generator-image test
+    for subs in (reps, norms):
+        ids = [(set(h.member_ids), [table.id_of(m) for m in h.gens]) for h in subs]
+        for h1, (h1_ids, h1_gens) in zip(subs, ids):
+            for h2, (h2_ids, _) in zip(subs, ids):
+                assert subgroups_conjugate(table, h1, h2) == scan_conjugator(
+                    table, cay, h1_ids, h1_gens, h2_ids
+                )
 
 
 def test_sl3_f4_classes_and_regular_unipotent_centralizers():

@@ -241,6 +241,17 @@ def test_paper_suite(capsys):
     )
 
 
+@pytest.mark.filterwarnings("ignore:characteristic")
+def test_full_suite_digest(capsys):
+    # the pinned sha256 of the byte-identical JSON stdout of the whole catalog
+    code = main(["verify", "full", "--format", "json", "--no-footer"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ae931666c8f91979dd2cb7f468515f7805fb5603be158721d122137209f9dc04"
+    )
+
+
 def test_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         verify_suite("nightly")
