@@ -517,10 +517,7 @@ def _irreducible(prime_ctx: FieldCtx, f: tuple[int, ...]) -> bool:
 
 
 def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
-    prime_ctx = _FIELDS.get((p, 1))
-    if prime_ctx is None:
-        prime_ctx = FieldCtx(p, 1, (0, 1))
-        _FIELDS[(p, 1)] = prime_ctx
+    prime_ctx = _field(p, 1)
     for k in range(p**m):
         coeffs = []
         kk = k
@@ -531,7 +528,7 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
         # significant in the scan order required of the tie-break
         f = tuple(coeffs) + (1,)
         # cheap root pruning before the gcd test
-        if m >= 2 and any(poly_eval(prime_ctx, f, a) == 0 for a in range(min(p, 16))):
+        if any(poly_eval(prime_ctx, f, a) == 0 for a in range(min(p, 16))):
             continue
         if _irreducible(prime_ctx, f):
             return f
@@ -541,36 +538,40 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
 _FIELDS: dict[tuple[int, int], FieldCtx] = {}
 
 
-def make_field(p: int, m: int, *, max_order: int | None = None) -> FieldCtx:
+def _field(p: int, m: int) -> FieldCtx:
+    """make_field without the ZK_MAX_FIELD check, for the fields the package
+    derives itself (see limits). The prime field's modulus is x."""
+    ctx = _FIELDS.get((p, m))
+    if ctx is None:
+        ctx = _FIELDS[(p, m)] = FieldCtx(p, m, _least_irreducible(p, m) if m > 1 else (0, 1))
+    return ctx
+
+
+def make_field(p: int, m: int) -> FieldCtx:
     """Return the canonical F_{p^m} context (cached singleton per (p, m)).
 
-    Raises BoundExceeded if p**m exceeds the field bound (ZK_MAX_FIELD or
-    the explicit max_order override), and ValueError for bad p or m.
+    Raises ValueError for bad p or m, and BoundExceeded if p**m exceeds
+    the field bound, limits.max_field() (ZK_MAX_FIELD / --max-field).
     """
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
     if not _is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
-    bound = limits.max_field(max_order)
+    bound = limits.max_field()
     if p**m > bound:
         raise BoundExceeded(
             f"field order {p}^{m} exceeds bound {bound} (ZK_MAX_FIELD / --max-field)"
         )
-    ctx = _FIELDS.get((p, m))
-    if ctx is None:
-        ctx = FieldCtx(p, m, _least_irreducible(p, m))
-        _FIELDS[(p, m)] = ctx
-    return ctx
+    return _field(p, m)
 
 
-def parse_field(text: str, *, max_order: int | None = None) -> FieldCtx:
+def parse_field(text: str) -> FieldCtx:
     """Parse 'p^m' or a prime-power integer literal like '9' into a context."""
     text = text.strip()
     if "^" in text:
         p_s, m_s = text.split("^", 1)
-        return make_field(int(p_s), int(m_s), max_order=max_order)
-    p, m = prime_power(int(text))
-    return make_field(p, m, max_order=max_order)
+        return make_field(int(p_s), int(m_s))
+    return make_field(*prime_power(int(text)))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +657,7 @@ def _embedding_root(src: FieldCtx, dst: FieldCtx) -> int:
     for d in range(2, src.m):
         if src.m % d:
             continue
-        sub = make_field(src.p, d, max_order=src.q)
+        sub = _field(src.p, d)
         theta = sub.p  # the residue class of x in the subfield
         via_src = _embed_code(sub, src, theta)
         direct = _embed_code(sub, dst, theta)

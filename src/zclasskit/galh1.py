@@ -34,6 +34,7 @@ from .errors import BoundExceeded, ConsistencyError
 from .ff import (
     FieldCtx,
     _factorize,
+    _field,
     embed,
     make_field,
     poly_roots,
@@ -291,7 +292,6 @@ def cocycle_of_form(
     a: Mat,
     *,
     normalizer_members: Sequence[Mat] | None = None,
-    max_order: int | None = None,
 ) -> Cocycle:
     """The cocycle a^-1 * F(a) attached to the form a * Zg * a^-1.
 
@@ -323,7 +323,7 @@ def cocycle_of_form(
     if {c * z * ci for z in z_up} != z_set:
         raise ConsistencyError("cocycle value does not normalize the subgroup")
     if normalizer_members is None:
-        table = instantiate(family, ext, max_order=max_order)
+        table = instantiate(family, ext)
         sub = subgroup_from_members(table, z_up)
         members = normalizer(table, sub).members
     else:
@@ -401,7 +401,7 @@ class H1Result:
 
 def _mu_twisted_classes(p: int, m: int, r: int, q: int, np: int, n: int) -> TwistedClassSet:
     """Twisted classes of mu_np realized inside F_{p^(m*r)} under x -> x^q."""
-    big = make_field(p, m * r, max_order=p ** (m * r))
+    big = _field(p, m * r)  # h1_mu_n has checked it against H1_FIELD_CAP
     zeta = _mu_generator(big, np) if np > 1 else 1
     mu = [1]
     for _ in range(np - 1):

@@ -103,12 +103,12 @@ def family_order(spec: FamilySpec, ctx: FieldCtx) -> int:
     raise ValueError(spec.kind)
 
 
-def parse_group_spec(text: str, *, max_field_order: int | None = None):
+def parse_group_spec(text: str):
     """Parse 'gl:2@3^1', 'u3@5^1', 'dihedral:7' into (FamilySpec, ctx or None)."""
     text = text.strip().lower()
     if "@" in text:
         fam_part, field_part = text.split("@", 1)
-        ctx = parse_field(field_part, max_order=max_field_order)
+        ctx = parse_field(field_part)
     else:
         fam_part, ctx = text, None
     if fam_part.startswith("u") and fam_part[1:].isdigit():
@@ -166,14 +166,14 @@ def _additive_basis(ctx: FieldCtx) -> list[int]:
     return [ctx.p**k for k in range(ctx.m)] if ctx.m > 1 else [1]
 
 
-def dihedral_context(m: int, *, max_field_order: int | None = None) -> FieldCtx:
+def dihedral_context(m: int) -> FieldCtx:
     """Least prime power q with an order-m unit, i.e. m | q - 1."""
     q = 2
     while True:
         fac = _factorize(q)
         if len(fac) == 1 and (q - 1) % m == 0:
             (p, e), = fac.items()
-            return make_field(p, e, max_order=max_field_order)
+            return make_field(p, e)
         q += 1
 
 
@@ -491,12 +491,12 @@ def _build_dihedral(m: int, ctx: FieldCtx) -> tuple[list[Mat], list[Mat]]:
     return members, [rot, refl]
 
 
-def instantiate(
-    spec: FamilySpec, ctx: FieldCtx | None = None, *, max_order: int | None = None
-) -> GroupTable:
+def instantiate(spec: FamilySpec, ctx: FieldCtx | None = None) -> GroupTable:
     """Build the full table; the closed-form order is asserted afterwards.
 
-    The dihedral family picks its own field (least q with m | q - 1) when
+    Raises BoundExceeded before building anything when the closed-form
+    order exceeds limits.max_group() (ZK_MAX_GROUP / --max-group). The
+    dihedral family picks its own field (least q with m | q - 1) when
     ctx is omitted; every other family requires an explicit context.
     """
     if ctx is None:
@@ -505,7 +505,7 @@ def instantiate(
         ctx = dihedral_context(spec.n)
     _check_guard(spec, ctx)
     expected = family_order(spec, ctx)
-    bound = limits.max_group(max_order)
+    bound = limits.max_group()
     if expected > bound:
         raise BoundExceeded(
             f"{spec.label()}@{ctx.name} has order {expected}, above bound {bound} "
@@ -566,7 +566,7 @@ def _adjoin(group: list, gens: list, g, mul, within=None) -> list:
     return out
 
 
-def closure_generate(ctx: FieldCtx, gens, *, max_order: int | None = None) -> GroupTable:
+def closure_generate(ctx: FieldCtx, gens) -> GroupTable:
     """The group of invertible generators, discovery-ordered: the orbit of
     the identity under right multiplication by the generators sorted by
     encoding, walked breadth-first."""
@@ -580,7 +580,7 @@ def closure_generate(ctx: FieldCtx, gens, *, max_order: int | None = None) -> Gr
         if g.det() == 0:
             raise ValueError("generators must be invertible")
     moves = [lambda x, g=g: x * g for g in gens]
-    cap = limits.max_group(max_order)
+    cap = limits.max_group()
     table = GroupTable(None, ctx, next(key_orbits([Mat.identity(ctx, n)], moves, cap)), gens)
     table._gens_certified = True
     return table
@@ -802,15 +802,15 @@ def _schreier_stabilizer(table: GroupTable, r: int) -> list[Mat]:
 def _stabilizer(table: GroupTable, r: int) -> list[Mat]:
     """The members of C(r): for GL/SL the units of the commutant algebra of
     r (of determinant 1 for SL), each checked to lie in the table and to
-    commute with r; for other families, or a commutant too large to list,
-    the Schreier closure."""
+    commute with r; for other families, or a commutant whose listing would
+    exceed SPAN_CAP, the Schreier closure."""
     g = table.elements[r]
     kind = table.family.kind if table.family else None
     if kind in (GL, SL):
         if g.is_scalar():
             return list(table.elements)
         alg = centralizer_algebra(g)
-        if table.ctx.q**alg.dim <= limits.COMMUTANT_CAP:
+        if table.ctx.q**alg.dim <= limits.SPAN_CAP:
             members = []
             for x in alg.units(1 if kind == SL else None):
                 i = table.index.get(x.data)
@@ -837,15 +837,15 @@ class ConjClass:
 
 def conjugacy_classes(table: GroupTable) -> tuple[ConjClass, ...]:
     """Conjugation orbits under the certified generators, each led by its
-    least-encoding member; for |G| <= 5000 each is checked against its
-    stabilizer, |cl(a)|·|C(a)| = |G|."""
+    least-encoding member; for |G| <= ORBIT_CHECK_LIMIT each is checked
+    against its stabilizer, |cl(a)|·|C(a)| = |G|."""
     if table._classes is not None:
         return table._classes
     table._certify_generators()
     order_ids = sorted(table.ids(), key=lambda i: table.elements[i].data)
     classes = []
     done = set()
-    small = table.order <= 5000
+    small = table.order <= limits.ORBIT_CHECK_LIMIT
     for seed in order_ids:
         root = _walk(table, seed)
         if root in done:

@@ -1,11 +1,17 @@
-"""Resource bounds, overridable via environment, per invocation or per call.
+"""The one registry of resource bounds; no function takes a bound of its own.
 
-ZK_MAX_GROUP  - largest group order instantiate(), closure_generate() and a
-                seed partition's table will accept (default 2e6).
-ZK_MAX_FIELD  - largest field order make_field() will accept (default 2^20).
+ZK_MAX_GROUP (default 2e6) bounds the groups instantiate(),
+closure_generate(), a seed partition's table and a counted commutant
+enumerate; ZK_MAX_FIELD (default 2^20) the fields make_field() builds.
+Each is read from the invocation's flag (the command line puts
+--max-group and --max-field in INVOCATION for the whole command), else
+the environment variable, else the default.
 
-The command line's --max-group and --max-field set INVOCATION for the
-whole command, so they act wherever the environment variables would.
+Fields the package derives for itself come from ff._field, which skips
+ZK_MAX_FIELD: an embedding's subfields and a modulus search's prime
+field are no larger than a field that passed it, and h1_mu_n holds its
+realizing fields to H1_FIELD_CAP. The internal caps below are read as
+limits.NAME at call time; a BoundExceeded names the cap it hit.
 """
 from __future__ import annotations
 
@@ -15,27 +21,24 @@ from contextvars import ContextVar
 DEFAULT_MAX_GROUP = 2_000_000
 DEFAULT_MAX_FIELD = 2**20
 
-# Internal caps, not user-facing. Modules read them as limits.NAME at call
-# time; a BoundExceeded names the cap it hit and the value that hit it.
-SEARCH_CAP = 4_000_000  # largest field scanned for polynomial roots
+SEARCH_CAP = 4_000_000  # largest field ff.poly_roots scans for roots
 FULL_TABLE_LIMIT = 100_000  # largest group z_partition partitions whole
-COMMUTANT_CAP = 65536  # largest commutant algebra whose units a centralizer lists
-H1_FIELD_CAP = 2**62  # largest field built to realize roots of unity
-SPAN_CAP = 300_000  # largest linear span listed in witness searches
+H1_FIELD_CAP = 2**62  # largest field h1_mu_n builds to realize roots of unity
+SPAN_CAP = 300_000  # largest linear span listed; GL/SL centralizers list units below it
 UNIT_SCAN_CAP = 2**20  # largest field whose units power_class_count lists
+ORBIT_CHECK_LIMIT = 5000  # largest group whose classes get |cl(a)|·|C(a)| = |G| rechecked
 
 # environment variable -> the value its flag gave this invocation, or None
 INVOCATION: ContextVar[dict] = ContextVar("INVOCATION", default={})
 
 
-def _bound(env: str, flag: str, default: int, override: int | None) -> int:
-    """A resource bound: the override when given, else the invocation's
-    flag, else the environment variable, else the default. Each source
-    must be a positive integer, else ValueError naming the flag or the
-    variable."""
-    if override is None:
-        override = INVOCATION.get().get(env)
-    raw, source = (os.environ.get(env), env) if override is None else (override, flag)
+def _bound(env: str, flag: str, default: int) -> int:
+    """A resource bound: the invocation's flag, else the environment
+    variable, else the default. Each source must be a positive integer,
+    else ValueError naming the flag or the variable."""
+    raw, source = INVOCATION.get().get(env), flag
+    if raw is None:
+        raw, source = os.environ.get(env), env
     if raw is None or raw == "":
         return default
     try:
@@ -47,9 +50,9 @@ def _bound(env: str, flag: str, default: int, override: int | None) -> int:
     return value
 
 
-def max_group(override: int | None = None) -> int:
-    return _bound("ZK_MAX_GROUP", "--max-group", DEFAULT_MAX_GROUP, override)
+def max_group() -> int:
+    return _bound("ZK_MAX_GROUP", "--max-group", DEFAULT_MAX_GROUP)
 
 
-def max_field(override: int | None = None) -> int:
-    return _bound("ZK_MAX_FIELD", "--max-field", DEFAULT_MAX_FIELD, override)
+def max_field() -> int:
+    return _bound("ZK_MAX_FIELD", "--max-field", DEFAULT_MAX_FIELD)

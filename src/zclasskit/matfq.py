@@ -325,16 +325,17 @@ def mat_embed(A: Mat, dst: FieldCtx) -> Mat:
 
 
 def mat_order(A: Mat) -> int:
-    """Multiplicative order; raises on singular input."""
+    """Multiplicative order, at most q^n - 1 (a Singer cycle's); raises on
+    singular input."""
     if A.det() == 0:
         raise ValueError("singular matrix has no multiplicative order")
     acc = A
     k = 1
-    ident = Mat.identity(A.ctx, A.n)
+    ident, top = Mat.identity(A.ctx, A.n), A.ctx.q**A.n - 1
     while acc != ident:
         acc = acc * A
         k += 1
-        if k > 10_000_000:
+        if k > top:
             raise ConsistencyError("runaway order computation")
     return k
 

@@ -268,7 +268,7 @@ def _run_sl3_unipotent(q: int, allow_bad_characteristic: bool) -> tuple[object, 
     rational_blocks = _refine(
         mats, lambda a, b: sl_conjugate_test(a, b) is not None
     )
-    z_blocks = _seed_partition(spec, ctx, mats, None)
+    z_blocks = _seed_partition(spec, ctx, mats)
     notes = {
         "route": "structural",
         "reps": [mat_literal(mats[b[0]]) for b in rational_blocks],
@@ -305,7 +305,7 @@ def _run_tori_gln(n: int, q: int) -> tuple[object, dict]:
             if poly_is_squarefree(ctx, (c0, c1, c2, 1))
         ]
         mats = [Mat.companion(ctx, f) for f in polys]
-        blocks = _seed_partition(FamilySpec(GL, 3), ctx, mats, None)
+        blocks = _seed_partition(FamilySpec(GL, 3), ctx, mats)
         computed = len(blocks)
         reps = [mat_literal(mats[b[0]]) for b in blocks]
     else:
@@ -354,7 +354,7 @@ def _run_borel_counterexample(which: str) -> tuple[object, dict]:
 def _run_heisenberg(q: int) -> tuple[object, dict]:
     ctx = parse_field(str(q))
     mats = [heisenberg_element(t, ctx) for t in ctx.units()]
-    blocks = _seed_partition(FamilySpec(UNIPOTENT, 3), ctx, mats, None)
+    blocks = _seed_partition(FamilySpec(UNIPOTENT, 3), ctx, mats)
     notes = {
         "candidates": len(mats),
         "reps": [mat_literal(mats[b[0]]) for b in blocks],

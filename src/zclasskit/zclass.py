@@ -333,15 +333,13 @@ def base_change_probe(
     ctx: FieldCtx,
     r: int,
     pairs: Sequence[tuple],
-    *,
-    max_order: int | None = None,
 ) -> ProbeReport:
     """Retest z-equivalence of element pairs after extending the field."""
     if r < 1:
         raise ValueError("extension degree must be positive")
     ext = make_field(ctx.p, ctx.m * r)
-    base_table = instantiate(family, ctx, max_order=max_order)
-    ext_table = instantiate(family, ext, max_order=max_order)
+    base_table = instantiate(family, ctx)
+    ext_table = instantiate(family, ext)
     rows = []
     for i, (g, h) in enumerate(pairs):
         gm, hm = _as_mat(base_table, g), _as_mat(base_table, h)
@@ -389,7 +387,6 @@ def fusion_count(
     g,
     *,
     table: GroupTable | None = None,
-    max_order: int | None = None,
 ) -> FormSet:
     """Count base classes (and base z-classes) fusing into g's extended class.
 
@@ -399,7 +396,7 @@ def fusion_count(
     """
     if r < 1:
         raise ValueError("extension degree must be positive")
-    base = table if table is not None else instantiate(family, ctx, max_order=max_order)
+    base = table if table is not None else instantiate(family, ctx)
     ext = make_field(ctx.p, ctx.m * r)
     classes = conjugacy_classes(base)
     g_mat = _as_mat(base, g)
@@ -415,7 +412,7 @@ def fusion_count(
             if test(g_up, h_up) is not None:
                 fused.append(c.rep_id)
     else:
-        ext_table = instantiate(family, ext, max_order=max_order)
+        ext_table = instantiate(family, ext)
         owner = _ext_class_lookup(ext_table)
         target = owner[ext_table.id_of(g_up)]
         for c in classes:
@@ -456,21 +453,19 @@ class GrowthDegree:
         }
 
 
-def _ext_centralizer_order(
-    family: FamilySpec, ext: FieldCtx, g_up: Mat, max_order: int | None
-) -> int:
+def _ext_centralizer_order(family: FamilySpec, ext: FieldCtx, g_up: Mat) -> int:
     if family.kind in (GL, SL) and g_up.is_scalar():
         return family_order(family, ext)
     if family.kind in (GL, SL):
         alg = centralizer_algebra(g_up)
-        cap = limits.max_group(max_order)
+        cap = limits.max_group()
         if ext.q**alg.dim > cap:
             raise BoundExceeded(
                 f"commutant of dimension {alg.dim} over F_{ext.name} exceeds {cap} "
                 "(ZK_MAX_GROUP / --max-group)"
             )
         return sum(1 for _ in alg.units(1 if family.kind == SL else None, cap))
-    tbl = instantiate(family, ext, max_order=max_order)
+    tbl = instantiate(family, ext)
     return centralizer(tbl, tbl.id_of(g_up)).order
 
 
@@ -479,8 +474,6 @@ def growth_degree(
     ctx: FieldCtx,
     g,
     degrees: Sequence[int],
-    *,
-    max_order: int | None = None,
 ) -> GrowthDegree:
     """Fit |Z(g)| over F_{q^r} against q^(d*r) across the sampled degrees.
 
@@ -496,7 +489,7 @@ def growth_degree(
     orders = []
     for r in degs:
         ext = make_field(ctx.p, ctx.m * r)
-        orders.append(_ext_centralizer_order(family, ext, mat_embed(g_mat, ext), max_order))
+        orders.append(_ext_centralizer_order(family, ext, mat_embed(g_mat, ext)))
     for i, ri in enumerate(degs):
         for j, rj in enumerate(degs):
             if ri != rj and rj % ri == 0 and orders[i] > orders[j]:
@@ -556,7 +549,7 @@ def _refine(items: Sequence, equiv) -> tuple[tuple[int, ...], ...]:
 
 
 def _seed_partition(
-    family: FamilySpec, ext: FieldCtx, seeds_up: list[Mat], max_order: int | None
+    family: FamilySpec, ext: FieldCtx, seeds_up: list[Mat]
 ) -> tuple[tuple[int, ...], ...]:
     """The seeds' blocks under z-equivalence in the family over ext: by the
     structural route when the ambient is GL/SL and every seed is scalar or
@@ -568,8 +561,8 @@ def _seed_partition(
             seeds_up, lambda a, b: structural_z_equivalent(family.kind, a, b) is not None
         )
     order = family_order(family, ext)
-    if order <= limits.max_group(max_order):
-        tbl = instantiate(family, ext, max_order=max_order)
+    if order <= limits.max_group():
+        tbl = instantiate(family, ext)
         return _refine(seeds_up, lambda a, b: z_equivalent(tbl, a, b) is not None)
     raise BoundExceeded(
         f"{family.label()} over F_{ext.name} has order {order}, beyond both routes "
@@ -582,8 +575,6 @@ def geometric_stabilize(
     ctx: FieldCtx,
     seeds: Sequence[Mat],
     max_r: int,
-    *,
-    max_order: int | None = None,
 ) -> StabilizeResult:
     """Partition the seed set by z-equivalence over F_{q^r}, r = 1..max_r.
 
@@ -603,7 +594,7 @@ def geometric_stabilize(
     for r in range(1, max_r + 1):
         ext = make_field(ctx.p, ctx.m * r)
         seeds_up = [mat_embed(s, ext) for s in seed_list]
-        partitions.append(_seed_partition(family, ext, seeds_up, max_order))
+        partitions.append(_seed_partition(family, ext, seeds_up))
     stable_at = None
     for r in range(1, max_r // 2 + 1):
         if partitions[r - 1] == partitions[2 * r - 1]:

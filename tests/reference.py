@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from zclasskit import grpcore
+from zclasskit import grpcore, limits
 from zclasskit.errors import ConsistencyError
 from zclasskit.ff import FieldCtx, FqElem, _as_code, _embed_code, make_field, mult_generator
 from zclasskit.grpcore import (
@@ -119,9 +119,19 @@ def frobenius(ctx: FieldCtx, base_degree: int, x) -> FqElem:
     return FqElem(ctx, ctx.pow(code, ctx.p**base_degree))
 
 
+def big_field(p: int, m: int) -> FieldCtx:
+    """make_field(p, m) with the field bound raised to p^m for this call,
+    as `--max-field p^m` would raise it for a command."""
+    token = limits.INVOCATION.set({**limits.INVOCATION.get(), "ZK_MAX_FIELD": p**m})
+    try:
+        return make_field(p, m)
+    finally:
+        limits.INVOCATION.reset(token)
+
+
 @lru_cache(maxsize=None)
 def _subfield_decode_map(ext: FieldCtx, r: int) -> dict[int, int]:
-    sub = make_field(ext.p, r, max_order=ext.q)
+    sub = big_field(ext.p, r)
     return {_embed_code(sub, ext, c): c for c in range(sub.q)}
 
 
@@ -130,7 +140,7 @@ def norm(ext: FieldCtx, r: int, x) -> FqElem:
     if r < 1 or ext.m % r:
         raise ValueError(f"degree {r} does not divide {ext.m}")
     code = _as_code(ext, x)
-    sub = make_field(ext.p, r, max_order=ext.q)
+    sub = big_field(ext.p, r)
     q_sub = ext.p**r
     acc = code
     t = code
@@ -145,7 +155,7 @@ def norm(ext: FieldCtx, r: int, x) -> FqElem:
 
 @lru_cache(maxsize=None)
 def _weil_basis_inverse(K: FieldCtx, r: int) -> tuple[FieldCtx, FieldCtx, Mat]:
-    base = make_field(K.p, r, max_order=K.q)
+    base = big_field(K.p, r)
     prime = make_field(K.p, 1)
     m = K.m
     n = m // r

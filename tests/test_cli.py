@@ -116,6 +116,21 @@ def test_conjtest_gl_vs_sl(capsys):
     assert doc["route"] == "sl-witness"
 
 
+def test_conjtest_span_cap_exit_3(capsys):
+    # the transporter space of two J2+J2 unipotents in SL4(F5) has
+    # dimension 8, and 5^8 is above SPAN_CAP
+    code, out, err = run(
+        capsys,
+        "conjtest",
+        "sl:4@5",
+        "[1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1]",
+        "[1,2,0,0;0,1,0,0;0,0,1,1;0,0,0,1]",
+    )
+    assert code == 3
+    assert out == ""
+    assert "span of 8 vectors over F_5 has 390625 elements, above SPAN_CAP 300000" in err
+
+
 def test_conjtest_table_route(capsys):
     code, out, _ = run(
         capsys,

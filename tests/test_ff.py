@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zclasskit import ff
 from zclasskit.errors import BoundExceeded
 from zclasskit.ff import (
     FqElem,
@@ -22,7 +23,7 @@ from zclasskit.ff import (
     power_class_count,
 )
 
-from reference import frobenius, norm
+from reference import big_field, frobenius, norm
 
 SMALL_Q = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3)]
 
@@ -94,7 +95,21 @@ def test_make_field_bound(monkeypatch):
     monkeypatch.setenv("ZK_MAX_FIELD", str(2**22))
     ctx = make_field(2, 21)
     assert ctx.q == 2**21
-    assert make_field(2, 21, max_order=2**21).q == 2**21
+
+
+def test_prime_field_is_built_once(monkeypatch):
+    built = []
+    init = ff.FieldCtx.__init__
+
+    def counted(self, *args):
+        built.append(args[:2])
+        init(self, *args)
+
+    monkeypatch.setattr(ff, "_FIELDS", {})
+    monkeypatch.setattr(ff.FieldCtx, "__init__", counted)
+    ctx = make_field(509, 1)
+    assert built == [(509, 1)]
+    assert make_field(509, 1) is ctx and ctx.modulus == (0, 1)
 
 
 def test_parse_field():
@@ -226,7 +241,7 @@ def test_add_and_neg_tables_agree_with_raw(p, m):
 
 @pytest.mark.parametrize("p,m", RAW_FIELDS, ids=lambda v: str(v))
 def test_raw_mul_agrees_with_polynomial_reduction(p, m):
-    ctx = make_field(p, m, max_order=p**m)
+    ctx = big_field(p, m)
     assert ctx._exp is None and ctx._mul_tab is None
     rng = random.Random(p * 100 + m)
     top = ctx.q - 1  # all digits p - 1: the largest slot sums
@@ -259,7 +274,7 @@ def test_exp_table_is_the_generator_walk(p, m):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_raw_field_axioms(p, m, data):
-    ctx = make_field(p, m, max_order=p**m)
+    ctx = big_field(p, m)
     a, b, c = (data.draw(st.integers(0, ctx.q - 1)) for _ in range(3))
     assert ctx.mul(a, b) == ctx.mul(b, a)
     assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
@@ -350,7 +365,7 @@ def test_embed_tower_compatibility(p, low, mid, high):
     # the triangle low -> mid -> high must equal the direct arrow
     f_low = make_field(p, low)
     f_mid = make_field(p, mid)
-    f_high = make_field(p, high, max_order=p**high)
+    f_high = big_field(p, high)
     for a in f_low.elements():
         via = embed(f_mid, f_high, embed(f_low, f_mid, a))
         direct = embed(f_low, f_high, a)

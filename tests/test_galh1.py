@@ -502,6 +502,16 @@ def test_h1_mu_n_input_errors(monkeypatch):
         h1_mu_n(7, 11)
 
 
+def test_h1_realizing_fields_skip_the_field_bound(monkeypatch):
+    # mu_12 under x -> x^7 is realized in F_49 and rechecked in F_7^4: both
+    # are derived fields, bounded by H1_FIELD_CAP, not by ZK_MAX_FIELD
+    monkeypatch.setenv("ZK_MAX_FIELD", "7")
+    res = h1_mu_n(7, 12)
+    assert (res.realizing_degree, res.size) == (2, 6)
+    with pytest.raises(BoundExceeded, match="ZK_MAX_FIELD"):
+        make_field(7, 2)
+
+
 # ---------------------------------------------------------------------------
 # kernels
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from zclasskit import grpcore, limits
 from zclasskit.errors import BadCharacteristic, BoundExceeded, ConsistencyError
 from zclasskit.ff import make_field, mult_generator, prime_power
 from zclasskit.grpcore import (
@@ -131,8 +132,12 @@ def test_elements_sorted_canonically():
 
 
 def test_instantiate_bound():
-    with pytest.raises(BoundExceeded):
-        instantiate(FamilySpec(GL, 2), F5, max_order=100)
+    token = limits.INVOCATION.set({"ZK_MAX_GROUP": 100})
+    try:
+        with pytest.raises(BoundExceeded):
+            instantiate(FamilySpec(GL, 2), F5)
+    finally:
+        limits.INVOCATION.reset(token)
 
 
 def test_instantiate_bound_env(monkeypatch):
@@ -246,10 +251,12 @@ def test_closure_of_standard_generators(group):
     assert closure(ctx, standard_generators(spec, ctx)).order == family_order(spec, ctx)
 
 
-def test_closure_bound_and_bad_input():
+def test_closure_bound_and_bad_input(monkeypatch):
     gens = [Mat.from_rows(F5, [[1, 1], [0, 1]])]
+    monkeypatch.setenv("ZK_MAX_GROUP", "3")
     with pytest.raises(BoundExceeded):
-        closure_generate(F5, gens, max_order=3)
+        closure_generate(F5, gens)
+    monkeypatch.delenv("ZK_MAX_GROUP")
     with pytest.raises(ValueError):
         closure_generate(F5, [Mat.zero(F5, 2)])
     with pytest.raises(ValueError):
@@ -571,3 +578,29 @@ def test_element_orders():
 def test_unipotent_order_char2(sl3_f4):
     u = regular_unipotent(3, 1, F4)
     assert element_order(sl3_f4, sl3_f4.id_of(u)) == 4
+
+
+@pytest.mark.parametrize(
+    "kind,n,q", [(GL, 2, 3), (GL, 3, 2), (SL, 2, 5), (SL, 3, 2)], ids=lambda v: str(v)
+)
+def test_stabilizer_routes_agree(monkeypatch, kind, n, q):
+    # every class rep's centralizer from the commutant units against the
+    # Schreier closure, which a SPAN_CAP of 0 forces on a fresh table
+    spec, ctx = FamilySpec(kind, n), make_field(*prime_power(q))
+    schreier = []
+    walk = grpcore._schreier_stabilizer
+    monkeypatch.setattr(
+        grpcore, "_schreier_stabilizer", lambda t, r: schreier.append(r) or walk(t, r)
+    )
+
+    def centralizers():
+        table = instantiate(spec, ctx)
+        return {c.rep_id: centralizer(table, c.rep_id).member_set
+                for c in conjugacy_classes(table)}
+
+    by_units = centralizers()
+    assert schreier == []
+    monkeypatch.setattr(limits, "SPAN_CAP", 0)
+    assert centralizers() == by_units
+    non_scalar = [r for r, members in by_units.items() if len(members) < family_order(spec, ctx)]
+    assert sorted(set(schreier)) == sorted(non_scalar)

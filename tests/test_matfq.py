@@ -8,6 +8,8 @@ from functools import lru_cache
 
 import pytest
 
+from zclasskit import limits, matfq
+from zclasskit.errors import BoundExceeded
 from zclasskit.ff import make_field, mult_generator, poly_mul, poly_sub, poly_trim
 from zclasskit.matfq import (
     Mat,
@@ -758,3 +760,29 @@ def test_mat_frobenius_and_embed():
             assert E[i, j] == embed(f4, f16, A[i, j]).code
     with pytest.raises(ValueError):
         mat_embed(A, make_field(2, 3))
+
+
+@pytest.mark.parametrize("p,n,order", [(2, 3, 7), (2, 4, 15), (3, 2, 8), (5, 2, 24)])
+def test_mat_order_reaches_the_largest_order(p, n, order):
+    # multiplication by a generator of F_{p^n}^* on the power basis over
+    # F_p (x^j has code p^j) is a Singer cycle: its order p^n - 1 is the
+    # largest in GL_n(F_p), the bound of mat_order's runaway check
+    big, prime = make_field(p, n), make_field(p, 1)
+    g = mult_generator(big).code
+    cols = [big.coeffs(big.mul(g, p**j)) for j in range(n)]
+    A = Mat.from_rows(prime, [[cols[j][i] for j in range(n)] for i in range(n)])
+    assert mat_order(A) == order == p**n - 1
+
+
+def test_span_cap_refuses_before_listing(monkeypatch):
+    F5 = make_field(5, 1)
+    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    def listed(*args):
+        raise AssertionError("span_step ran before the cap was checked")
+
+    monkeypatch.setattr(limits, "SPAN_CAP", 124)
+    monkeypatch.setattr(matfq, "span_step", listed)
+    with pytest.raises(BoundExceeded) as exc:
+        span_vectors(F5, basis)
+    assert str(exc.value) == "span of 3 vectors over F_5 has 125 elements, above SPAN_CAP 124"

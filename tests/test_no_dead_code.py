@@ -1,8 +1,10 @@
-"""Every function, class and method in zclasskit is reached from outside
-tests, and every module-level import is used by its module.
+"""Every function, class, method and module-level upper-case constant in
+zclasskit is reached from outside tests, and every module-level import
+is used by its module.
 
 A definition is reached when src/ or perfbench/ refers to it in code.
-A function or class is referred to by its name, by an import, as an
+A function, class or constant is referred to by its name (an assignment
+to the name is no reference), by an import, as an
 attribute of an imported module or object (`limits.max_group`,
 `zk.make_field`), or as a part of a dotted string constant in perfbench/
 that names a zclasskit module first (the benchmark tracer resolves such
@@ -29,20 +31,26 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _definitions() -> set[tuple[str, bool]]:
-    """(name, is_method) of every non-dunder definition in the package."""
+    """(name, is_method) of every non-dunder definition in the package,
+    module-level upper-case constants (`SPAN_CAP`, `_FIELDS`) included."""
     out = set()
 
-    def visit(body, in_class: bool) -> None:
+    def visit(body, in_class: bool, top: bool) -> None:
         for node in body:
             if isinstance(node, DEFS):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     out.add((node.name, in_class))
-                visit(node.body, isinstance(node, ast.ClassDef))
+                visit(node.body, isinstance(node, ast.ClassDef), False)
+            elif top and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out.update(
+                    (t.id, False) for t in targets if isinstance(t, ast.Name) and t.id.isupper()
+                )
             elif hasattr(node, "body"):  # if/try/with blocks
-                visit(node.body, in_class)
+                visit(node.body, in_class, top)
 
     for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(), str(path)).body, False)
+        visit(ast.parse(path.read_text(), str(path)).body, False, True)
     return out
 
 
@@ -76,7 +84,8 @@ class _References(ast.NodeVisitor):
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_def
 
     def visit_Name(self, node: ast.Name) -> None:
-        self._count(self.names, node.id)
+        if not isinstance(node.ctx, ast.Store):
+            self._count(self.names, node.id)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         self._count(self.attrs, node.attr)
@@ -123,6 +132,7 @@ def test_every_definition_is_named_elsewhere():
 def test_references_ignore_docstrings_strings_and_recursion():
     source = '''
 import ff
+CAP = 3
 def used(): pass
 def lonely():
     """lonely and used are only words here"""
@@ -132,6 +142,7 @@ ff.reached.method()
 '''
     refs = _References(ast.parse(source), dotted_strings=True)
     assert refs.names["used"] == 1 and refs.names["lonely"] == 0
+    assert refs.names["CAP"] == 0
     assert refs.names["hidden"] == 0 and refs.attrs["hidden"] == 1
     assert refs.names["reached"] == refs.names["method"] == 1
 

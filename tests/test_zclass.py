@@ -161,21 +161,25 @@ def test_partition_bound(monkeypatch):
         z_partition(table)
 
 
-def test_max_bounds_name_their_knob():
+def test_max_bounds_name_their_knob(monkeypatch):
     group, field = "(ZK_MAX_GROUP / --max-group)", "(ZK_MAX_FIELD / --max-field)"
     u = regular_unipotent(2, 1, F5)
     gl2, borel2 = FamilySpec(GL, 2), FamilySpec(BOREL_GL, 2)
     cases = [
-        (lambda: instantiate(gl2, F5, max_order=10), "above bound 10 " + group),
-        (lambda: closure_generate(F5, [u], max_order=3), "exceeded bound 3 " + group),
-        (lambda: zclass._ext_centralizer_order(gl2, F5, u, 10), "exceeds 10 " + group),
-        (lambda: zclass._seed_partition(borel2, F5, [u], 10), "beyond both routes " + group),
-        (lambda: make_field(3, 5, max_order=10), "exceeds bound 10 " + field),
+        (10, lambda: instantiate(gl2, F5), "above bound 10 " + group),
+        (3, lambda: closure_generate(F5, [u]), "exceeded bound 3 " + group),
+        (10, lambda: zclass._ext_centralizer_order(gl2, F5, u), "exceeds 10 " + group),
+        (10, lambda: zclass._seed_partition(borel2, F5, [u]), "beyond both routes " + group),
     ]
-    for call, text in cases:
+    for bound, call, text in cases:
+        monkeypatch.setenv("ZK_MAX_GROUP", str(bound))
         with pytest.raises(BoundExceeded) as exc:
             call()
         assert text in str(exc.value)
+    monkeypatch.setenv("ZK_MAX_FIELD", "10")
+    with pytest.raises(BoundExceeded) as exc:
+        make_field(3, 5)
+    assert "exceeds bound 10 " + field in str(exc.value)
 
 
 def test_partition_summary_shape():
@@ -253,7 +257,7 @@ def _check_routes(table, seeds):
         if got is not None:
             assert got.det() == 1 if kind == SL else got.det() != 0
     want = zclass._refine(seeds, lambda a, b: z_equivalent(table, a, b) is not None)
-    assert zclass._seed_partition(table.family, table.ctx, seeds, None) == want
+    assert zclass._seed_partition(table.family, table.ctx, seeds) == want
 
 
 def test_structural_agrees_with_table_route_gl2_f3():
