@@ -449,7 +449,7 @@ def _build_rows(ctx: FieldCtx, n: int, det_one: bool) -> list[Mat]:
         if last:
             out.extend(Mat._trusted(ctx, n, prefix + r) for r in rows)
             continue
-        todo.extend((prefix + r, span_step(ctx, span, r)) for r in rows)
+        todo.extend((prefix + r, list(span_step(ctx, span, r))) for r in rows)
     return out
 
 
@@ -812,7 +812,10 @@ def _stabilizer(table: GroupTable, r: int) -> list[Mat]:
         alg = centralizer_algebra(g)
         if table.ctx.q**alg.dim <= limits.SPAN_CAP:
             members = []
-            for x in alg.units(1 if kind == SL else None):
+            for x in alg.elements():  # every unit is kept, so list them at once
+                d = x.det()
+                if not d or (kind == SL and d != 1):
+                    continue
                 i = table.index.get(x.data)
                 if i is None or x * g != g * x:
                     raise ConsistencyError("commutant unit outside the centralizer")

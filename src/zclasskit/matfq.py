@@ -8,20 +8,31 @@ Linear algebra runs through one rref: inverses above 3x3 reduce [A | I],
 kernels and solves reduce their systems (only the rational form's chain
 search keeps an incremental echelon). Determinants above 3x3 use forward
 elimination alone, smaller ones closed forms. Spans grow one vector at a
-time through span_step, which fixes their listing order; kernel bases are
-in reduced row echelon form, so every kernel and transporter space lists
-in ascending order and the least element with a property is the first hit.
+time through span_step, which fixes their one order; kernel bases are in
+reduced row echelon form, so every kernel and transporter space walks in
+ascending order and the least element with a property is the first hit.
+First-hit searches (the rational form's chains, the SL witness, the
+structural commutant walk) walk spans lazily with span_walk, which stops
+at SPAN_CAP elements tried; only a caller that needs every element lists
+the span at once (span_vectors, refused above SPAN_CAP before listing).
 
 Canonical-form machinery (charpoly, minpoly, invariant factors, rational
-form) runs through one Smith-normal-form routine over F_q[x]; conjugacy
-tests and witness searches are built on top of it plus transporter
-spaces. Deterministic rule throughout: when a choice is free, the object
-with the least canonical encoding wins.
+form) runs through one Smith-normal-form routine over F_q[x]. An
+element's type (the degree and exponent partition of each irreducible
+factor) comes from the invariant factors without factoring them, and
+gives the closed-form centralizer order. Conjugacy tests build on the
+rational form: GL-conjugacy compares invariant factors, and SL-conjugacy
+adds a determinant test on the rational-form witness, then takes the
+first determinant-1 unit of the transporter space. Deterministic rule
+throughout: when a choice is free, the object with the least canonical
+encoding wins.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import limits
 from .errors import BoundExceeded, ConsistencyError
@@ -31,11 +42,14 @@ from .ff import (
     _as_code,
     _embed_code,
     poly_add,
+    poly_deriv,
     poly_divmod,
+    poly_gcd,
     poly_is_squarefree,
     poly_mod,
     poly_monic,
     poly_mul,
+    poly_pow_mod,
     poly_sub,
     poly_trim,
 )
@@ -371,7 +385,7 @@ def rref(ctx: FieldCtx, rows) -> tuple[list[list[int]], list[int]]:
 
 
 def kernel_basis(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
-    """Canonical kernel basis in reduced row echelon form: span_vectors lists
+    """Canonical kernel basis in reduced row echelon form: span_walk walks
     its span ascending, each coefficient being the entry at a pivot column."""
     red, pivots = rref(ctx, rows)
     pivot_set = set(pivots)
@@ -387,30 +401,50 @@ def kernel_basis(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
     return [tuple(v) for v in rref(ctx, basis)[0]]
 
 
-def span_vectors(ctx: FieldCtx, basis, cap: int | None = None) -> list[tuple[int, ...]]:
-    """Every linear combination of the basis vectors; at most cap of them
-    (default limits.SPAN_CAP)."""
-    total = ctx.q ** len(basis)
-    knob = "SPAN_CAP" if cap is None else "cap"
-    cap = limits.SPAN_CAP if cap is None else cap
-    if total > cap:
-        raise BoundExceeded(
-            f"span of {len(basis)} vectors over F_{ctx.name} has {total} elements, "
-            f"above {knob} {cap}"
-        )
-    if not basis:
-        return [()]
-    span = [(0,) * len(basis[0])]
-    for b in basis:
-        span = span_step(ctx, span, b)
-    return span
-
-
-def span_step(ctx: FieldCtx, span, vec) -> list[tuple[int, ...]]:
-    """The span grown by vec, listed as s + c*vec for s in span, then c in F_q."""
+def span_step(ctx: FieldCtx, span, vec) -> Iterator[tuple[int, ...]]:
+    """The span grown by vec, walked lazily as s + c*vec for s in span, then
+    c in F_q: the one listing order of every span."""
     add, mul = ctx.add, ctx.mul
     mults = [tuple([mul(c, x) for x in vec]) for c in ctx.elements()]
-    return [tuple(map(add, s, t)) for s in span for t in mults]
+    return (tuple(map(add, s, t)) for s in span for t in mults)
+
+
+def span_walk(ctx: FieldCtx, basis, width: int) -> Iterator[tuple[int, ...]]:
+    """Every linear combination of the basis vectors (each of length width),
+    lazily in span_step's order, so a reduced echelon basis walks ascending.
+
+    The walk counts what it yields: a caller still asking after SPAN_CAP
+    elements gets BoundExceeded naming SPAN_CAP, whatever the span's size.
+    """
+    walk = iter([(0,) * width])
+    for b in basis:
+        walk = span_step(ctx, walk, b)
+    cap, total = limits.SPAN_CAP, ctx.q ** len(basis)
+    if total <= cap:
+        return walk
+    message = (
+        f"span of {len(basis)} vectors over F_{ctx.name} has {total} elements; "
+        f"the walk stopped after SPAN_CAP {cap}"
+    )
+    return _capped_walk(walk, cap, message)
+
+
+def _capped_walk(walk, cap: int, message: str):
+    yield from itertools.islice(walk, cap)
+    raise BoundExceeded(message)
+
+
+def span_vectors(ctx: FieldCtx, basis) -> list[tuple[int, ...]]:
+    """Every linear combination of the basis vectors, listed at once in
+    span_step's order; refused before listing when there are more than
+    SPAN_CAP of them."""
+    total = ctx.q ** len(basis)
+    if total > limits.SPAN_CAP:
+        raise BoundExceeded(
+            f"span of {len(basis)} vectors over F_{ctx.name} has {total} elements, "
+            f"above SPAN_CAP {limits.SPAN_CAP}"
+        )
+    return list(span_walk(ctx, basis, len(basis[0]) if basis else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +565,110 @@ def is_unipotent(g: Mat) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# element types
+
+
+def _squarefree_parts(ctx: FieldCtx, f: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """{i: s_i} with monic f = prod s_i^i, each s_i squarefree, nonconstant
+    and coprime to the others. F_q is perfect, so where the derivative
+    vanishes f is a p-th power and its p-th root is decomposed instead."""
+    p = ctx.p
+    parts: dict[int, tuple[int, ...]] = {}
+    c = f
+    d = poly_deriv(ctx, f)
+    if d:
+        c = poly_gcd(ctx, f, d)
+        w = poly_divmod(ctx, f, c)[0]
+        i = 1
+        while len(w) > 1:  # w: the factors of multiplicity >= i, prime to p
+            y = poly_gcd(ctx, w, c)
+            s = poly_divmod(ctx, w, y)[0]
+            if len(s) > 1:
+                parts[i] = s
+            w, c, i = y, poly_divmod(ctx, c, y)[0], i + 1
+    if len(c) > 1:  # c now holds the factors whose multiplicity p divides
+        root = tuple(ctx.pow(a, ctx.q // p) for a in c[::p])
+        parts.update((i * p, s) for i, s in _squarefree_parts(ctx, root).items())
+    return parts
+
+
+def _degree_counts(ctx: FieldCtx, h: tuple[int, ...]) -> dict[int, int]:
+    """{d: how many irreducible factors of degree d} of a squarefree monic h,
+    by distinct-degree splitting: gcd(h, x^(q^d) - x) holds those of degree d."""
+    x = (0, 1)
+    xq, d, out = x, 0, {}
+    while len(h) - 1 >= 2 * (d + 1):
+        d += 1
+        xq = poly_pow_mod(ctx, xq, ctx.q, h)
+        g = poly_gcd(ctx, h, poly_sub(ctx, xq, x))
+        if len(g) > 1:
+            out[d] = (len(g) - 1) // d
+            h = poly_divmod(ctx, h, g)[0]
+            xq = poly_mod(ctx, xq, h)
+    if len(h) > 1:  # what is left is one irreducible
+        out[len(h) - 1] = out.get(len(h) - 1, 0) + 1
+    return out
+
+
+def factors_type(ctx: FieldCtx, facs) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The type of an element with invariant factors facs: one
+    (deg f, lambda_f) per irreducible factor f of its characteristic
+    polynomial, sorted, where lambda_f lists f's exponents in the invariant
+    factors, largest first.
+
+    Nothing is factored into irreducibles: the squarefree parts of each
+    invariant factor, refined by gcds along the chain, group the factors
+    that share an exponent vector, and distinct-degree splitting counts
+    each group's factors by degree.
+    """
+    chain = [_squarefree_parts(ctx, d) for d in facs]
+    radical = (1,)
+    for s in chain[-1].values():
+        radical = poly_mul(ctx, radical, s)
+    pieces = [(radical, ())]  # (product of the factors, their exponent vector)
+    for parts in chain:
+        refined = []
+        for h, vec in pieces:
+            for i, s in parts.items():
+                g = poly_gcd(ctx, h, s)
+                if len(g) > 1:
+                    refined.append((g, vec + (i,)))
+                    h = poly_divmod(ctx, h, g)[0]
+            if len(h) > 1:
+                refined.append((h, vec + (0,)))
+        pieces = refined
+    out = []
+    for h, vec in pieces:
+        lam = tuple(sorted((e for e in vec if e), reverse=True))
+        for deg, count in _degree_counts(ctx, h).items():
+            out.extend([(deg, lam)] * count)
+    return tuple(sorted(out))
+
+
+def type_exponent(typ) -> int:
+    """The gcd e of every part of every lambda_f: det maps C_GL(g) onto the
+    e-th powers of F_q^* (finite-field norms are onto)."""
+    return math.gcd(*(part for _, lam in typ for part in lam))
+
+
+def centralizer_order(typ, q: int, special: bool = False) -> int:
+    """|C_GL(g)| from g's type over F_q, or |C_SL(g)| when special (Green):
+    prod_f Q^(sum lambda'_i^2) prod_i prod_(k <= m_i) (1 - Q^-k), Q = q^deg f,
+    with m_i the multiplicity of the part i in lambda_f; C_SL is the kernel
+    of det on C_GL, whose image has (q - 1)/gcd(e, q - 1) elements."""
+    order = 1
+    for deg, lam in typ:
+        Q = q**deg
+        conj = [sum(1 for part in lam if part > i) for i in range(lam[0])]
+        mults = [lam.count(part) for part in set(lam)]
+        order *= Q ** (sum(c * c for c in conj) - sum(m * (m + 1) // 2 for m in mults))
+        order *= math.prod(Q**k - 1 for m in mults for k in range(1, m + 1))
+    if special:
+        order = order * math.gcd(type_exponent(typ), q - 1) // (q - 1)
+    return order
+
+
+# ---------------------------------------------------------------------------
 # rational canonical form and conjugacy
 
 
@@ -566,16 +704,19 @@ def _apply(A: Mat, vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rcf(A: Mat) -> RcfResult:
+def rcf(A: Mat, facs=None) -> RcfResult:
     """Rational canonical form and a conjugating transform.
 
     form is block-diagonal with companion blocks of the invariant factors
     in divisibility order; transform * A * transform^-1 = form. The
     module generators behind transform are chosen least-encoding-first
-    (largest factor first), so the output is deterministic.
+    (largest factor first), so the output is deterministic: each kernel
+    of f(A) is walked lazily and ascending, and the chain search stops at
+    its first fit. facs, when given, are A's invariant factors.
     """
     ctx, n = A.ctx, A.n
-    facs = invariant_factors(A)
+    if facs is None:
+        facs = invariant_factors(A)
     data = [0] * (n * n)
     offset = 0
     for f in facs:
@@ -588,17 +729,14 @@ def rcf(A: Mat) -> RcfResult:
     form = Mat(ctx, n, data)
 
     order = sorted(range(len(facs)), key=lambda i: len(facs[i]), reverse=True)
-    kernels = {
-        f: span_vectors(ctx, kernel_basis(ctx, poly_of_matrix(ctx, f, A).rows(), n))
-        for f in set(facs)
-    }
+    kernels = {f: kernel_basis(ctx, poly_of_matrix(ctx, f, A).rows(), n) for f in set(facs)}
 
     def search(pos: int, ech, chains):
         if pos == len(order):
             return chains
         f = facs[order[pos]]
         deg = len(f) - 1
-        for w in kernels[f]:
+        for w in span_walk(ctx, kernels[f], n):
             if not any(w):
                 continue
             trial = list(ech)
@@ -636,11 +774,14 @@ def gl_conjugate_test(A: Mat, B: Mat) -> Mat | None:
     A._compat(B)
     if A == B:
         return Mat.identity(A.ctx, A.n)
-    ra = rcf(A)
-    rb = rcf(B)
-    if ra.form != rb.form:
-        return None
-    X = ra.transform.inverse() * rb.transform
+    facs = invariant_factors(A)
+    return _gl_witness(A, B, facs) if invariant_factors(B) == facs else None
+
+
+def _gl_witness(A: Mat, B: Mat, facs) -> Mat:
+    """The rational-form witness X with X B X^-1 = A, for A and B that
+    share the invariant factors facs."""
+    X = rcf(A, facs).transform.inverse() * rcf(B, facs).transform
     if X * B != A * X:
         raise ConsistencyError("conjugacy witness failed verification")
     return X
@@ -658,17 +799,24 @@ class TransporterSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def elements(self, cap: int | None = None) -> list[Mat]:
-        """Every element, ascending (the basis is in reduced echelon form)."""
-        vecs = span_vectors(self.ctx, [m.data for m in self.basis], cap)
+    def walk(self) -> Iterator[Mat]:
+        """Every element, lazily and ascending (the basis is in reduced
+        echelon form); bounded as span_walk is, by SPAN_CAP elements tried."""
+        ctx, n = self.ctx, self.n
+        vecs = span_walk(ctx, [m.data for m in self.basis], n * n)
+        return (Mat._trusted(ctx, n, v) for v in vecs)
+
+    def elements(self) -> list[Mat]:
+        """Every element, ascending, listed at once (refused above SPAN_CAP)."""
+        vecs = span_vectors(self.ctx, [m.data for m in self.basis])
         if not self.basis:
             vecs = [(0,) * (self.n * self.n)]
         return [Mat._trusted(self.ctx, self.n, v) for v in vecs]
 
-    def units(self, det: int | None = None, cap: int | None = None):
-        """The invertible elements, ascending; only those of determinant det
-        when det is given."""
-        for X in self.elements(cap):
+    def units(self, det: int | None = None) -> Iterator[Mat]:
+        """The invertible elements, lazily and ascending; only those of
+        determinant det when det is given."""
+        for X in self.walk():
             d = X.det()
             if d and (det is None or d == det):
                 yield X
@@ -698,20 +846,32 @@ def centralizer_algebra(A: Mat) -> TransporterSpace:
 def sl_conjugate_test(A: Mat, B: Mat) -> Mat | None:
     """Determinant-1 witness X with X B X^-1 = A, or None.
 
-    Route: with equal invariant factors, the transporter space T(A, B) holds
-    every conjugating X and lists ascending, so its first determinant-1 unit
-    is the least witness by canonical encoding. For A == B the witness is
-    the identity, not the least determinant-1 element of C(A).
+    Route: a rational-form witness X0 decides GL-conjugacy. Every other
+    witness is X0 U with U a unit of C(B), and det maps those units onto
+    the e-th powers of F_q^*, e the type exponent of B; so a determinant-1
+    witness exists iff det(X0)^((q-1)/gcd(e, q-1)) = 1, and no element is
+    tried when it does not. When it does, the transporter space T(A, B)
+    holds every witness and walks ascending, so its first determinant-1
+    unit is the least witness by canonical encoding; the walk raises
+    BoundExceeded (SPAN_CAP) when that unit is not among the first SPAN_CAP
+    elements. For A == B the witness is the identity, not the least
+    determinant-1 element of C(A).
     """
     A._compat(B)
     if A.det() != 1 or B.det() != 1:
         raise ValueError("inputs must have determinant 1")
     if A == B:
         return Mat.identity(A.ctx, A.n)
-    if invariant_factors(A) != invariant_factors(B):
+    facs = invariant_factors(A)
+    if invariant_factors(B) != facs:
+        return None
+    X0 = _gl_witness(A, B, facs)
+    ctx = A.ctx
+    e = math.gcd(type_exponent(factors_type(ctx, facs)), ctx.q - 1)
+    if ctx.pow(X0.det(), (ctx.q - 1) // e) != 1:
         return None
     X = next(transporter_space(A, B).units(1), None)
-    if X is not None and (X.det() != 1 or X * B != A * X):
+    if X is None or X.det() != 1 or X * B != A * X:
         raise ConsistencyError("unit-determinant witness failed verification")
     return X
 

@@ -19,8 +19,9 @@ one invariant factor, whose commutant algebra has the minimal dimension
 n): there the centralizer is the unit group of the commutant, and
 centralizer conjugacy reduces to element conjugacy onto some generator
 of the other commutant. A seed partition takes the structural route
-wherever it applies, as fusion counts and growth degrees do; the routes
-are cross-validated against each other wherever both apply.
+wherever it applies, as fusion counts do; the routes are cross-validated
+against each other wherever both apply. Growth degrees read GL/SL
+centralizer orders in closed form from the element's type.
 """
 from __future__ import annotations
 
@@ -47,7 +48,9 @@ from . import limits
 from .matfq import (
     Mat,
     centralizer_algebra,
+    centralizer_order,
     charpoly,
+    factors_type,
     gl_conjugate_test,
     invariant_factors,
     is_unipotent,
@@ -258,8 +261,8 @@ def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
     elements (one invariant factor; commutant = polynomials in the
     element, dimension n). For regular g, h the centralizers are conjugate
     iff g is conjugate, with admissible determinant, onto some generator
-    of h's commutant; the generators are enumerated as the commutant
-    elements sharing g's invariant factors.
+    of h's commutant; the commutant is walked lazily and ascending, and
+    its elements sharing g's invariant factors are tried in turn.
     """
     if kind not in (GL, SL):
         raise ValueError(f"structural route supports gl/sl ambients, not {kind!r}")
@@ -275,7 +278,7 @@ def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
         raise ValueError("structural route supports scalar or regular elements only")
     tr, dt = g.trace(), g.det()
     test = gl_conjugate_test if kind == GL else sl_conjugate_test
-    for y in alg_h.elements():
+    for y in alg_h.walk():
         if y.trace() != tr or y.det() != dt or invariant_factors(y) != target:
             continue
         w = test(y, g)
@@ -457,14 +460,15 @@ def _ext_centralizer_order(family: FamilySpec, ext: FieldCtx, g_up: Mat) -> int:
     if family.kind in (GL, SL) and g_up.is_scalar():
         return family_order(family, ext)
     if family.kind in (GL, SL):
-        alg = centralizer_algebra(g_up)
+        typ = factors_type(ext, invariant_factors(g_up))
+        order = centralizer_order(typ, ext.q, family.kind == SL)
         cap = limits.max_group()
-        if ext.q**alg.dim > cap:
+        if order > cap:
             raise BoundExceeded(
-                f"commutant of dimension {alg.dim} over F_{ext.name} exceeds {cap} "
+                f"centralizer of order {order} over F_{ext.name} exceeds {cap} "
                 "(ZK_MAX_GROUP / --max-group)"
             )
-        return sum(1 for _ in alg.units(1 if family.kind == SL else None, cap))
+        return order
     tbl = instantiate(family, ext)
     return centralizer(tbl, tbl.id_of(g_up)).order
 

@@ -5,12 +5,21 @@ the package.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from zclasskit import grpcore, limits
 from zclasskit.errors import ConsistencyError
-from zclasskit.ff import FieldCtx, FqElem, _as_code, _embed_code, make_field, mult_generator
+from zclasskit.ff import (
+    FieldCtx,
+    FqElem,
+    _as_code,
+    _embed_code,
+    make_field,
+    mult_generator,
+    poly_mod,
+)
 from zclasskit.grpcore import (
     DIHEDRAL,
     GL,
@@ -20,7 +29,17 @@ from zclasskit.grpcore import (
     _transvection,
     dihedral_generators,
 )
-from zclasskit.matfq import Mat, _apply, is_semisimple, is_unipotent, mat_order
+from zclasskit.matfq import (
+    Mat,
+    _apply,
+    invariant_factors,
+    is_semisimple,
+    is_unipotent,
+    mat_order,
+    poly_of_matrix,
+    rref,
+    transporter_space,
+)
 
 
 def standard_generators(spec: FamilySpec, ctx: FieldCtx) -> list[Mat]:
@@ -197,3 +216,46 @@ def weil_embed(K: FieldCtx, r: int, x) -> Mat:
             sub_code = base.encode(coords[block * r : (block + 1) * r])
             data[block * n + j] = sub_code
     return Mat(base, n, data)
+
+
+def sl_witness_scan(A: Mat, B: Mat) -> Mat | None:
+    """The unit scan sl_conjugate_test made before its determinant test:
+    with equal invariant factors, the first determinant-1 element of the
+    whole transporter space T(A, B), listed at once."""
+    if A == B:
+        return Mat.identity(A.ctx, A.n)
+    if invariant_factors(A) != invariant_factors(B):
+        return None
+    return next((X for X in transporter_space(A, B).elements() if X.det() == 1), None)
+
+
+def monic_irreducibles(ctx: FieldCtx, top: int) -> list[tuple[int, ...]]:
+    """Every monic irreducible of degree 1..top, by trial division."""
+    out: list[tuple[int, ...]] = []
+    for d in range(1, top + 1):
+        for low in itertools.product(range(ctx.q), repeat=d):
+            f = low + (1,)
+            if not any(2 * (len(g) - 1) <= d and not poly_mod(ctx, f, g) for g in out):
+                out.append(f)
+    return out
+
+
+def brute_type(A: Mat) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The type of A from ranks: for each monic irreducible f, the number of
+    parts of lambda_f that are >= k is (dim ker f(A)^k - dim ker f(A)^(k-1)) / deg f."""
+    ctx, n = A.ctx, A.n
+    out = []
+    for f in monic_irreducibles(ctx, n):
+        deg, fa = len(f) - 1, poly_of_matrix(ctx, f, A)
+        power, nullity, at_least = Mat.identity(ctx, n), 0, []
+        for _ in range(n // deg):
+            power = power * fa
+            grown = n - len(rref(ctx, power.rows())[1])
+            if grown == nullity:
+                break
+            at_least.append((grown - nullity) // deg)
+            nullity = grown
+        if at_least:  # lambda_f is the conjugate of at_least
+            lam = tuple(sum(1 for c in at_least if c > i) for i in range(at_least[0]))
+            out.append((deg, lam))
+    return tuple(sorted(out))

@@ -7,6 +7,7 @@ import pytest
 from zclasskit.cli import main
 from zclasskit.ff import make_field
 from zclasskit.grpcore import GL, FamilySpec, conjugacy_classes, instantiate
+from zclasskit.matfq import mat_parse
 from zclasskit import limits, paperlab
 
 
@@ -116,19 +117,41 @@ def test_conjtest_gl_vs_sl(capsys):
     assert doc["route"] == "sl-witness"
 
 
-def test_conjtest_span_cap_exit_3(capsys):
-    # the transporter space of two J2+J2 unipotents in SL4(F5) has
-    # dimension 8, and 5^8 is above SPAN_CAP
+J2_PAIR = "[1,{b},0,0;0,1,0,0;0,0,1,1;0,0,0,1]"  # J2(b) + J2, unipotent in SL4(F5)
+
+
+def test_conjtest_j2_pairs_sl4_f5(capsys):
+    # diag(b, 1, 1, 1) conjugates J2(1) + J2 onto J2(b) + J2, and every part
+    # of their type is 2, so det(C(g)) is the squares of F_5^*: the pair is
+    # SL-conjugate iff b is a square (1 or 4). T(A, B) has dimension 8, and
+    # 5^8 = 390 625 is above SPAN_CAP, so a listing of it was refused.
+    F5 = make_field(5, 1)
+    for b, square in ((2, False), (3, False), (4, True)):
+        first, second = J2_PAIR.format(b=b), J2_PAIR.format(b=1)
+        code, out, _ = run(
+            capsys, "conjtest", "sl:4@5", first, second, "--format", "json", "--no-footer"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["conjugate"] is square
+        if square:
+            A, B, X = (mat_parse(F5, doc[k]) for k in ("first", "second", "witness"))
+            assert X.det() == 1 and X * B == A * X
+
+
+def test_conjtest_span_cap_exit_3(capsys, monkeypatch):
+    # the first determinant-1 witness of this SL-conjugate pair lies past
+    # the 100th element of T(A, B): the lazy walk counts what it tries
+    monkeypatch.setattr(limits, "SPAN_CAP", 100)
     code, out, err = run(
-        capsys,
-        "conjtest",
-        "sl:4@5",
-        "[1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1]",
-        "[1,2,0,0;0,1,0,0;0,0,1,1;0,0,0,1]",
+        capsys, "conjtest", "sl:4@5", J2_PAIR.format(b=1), J2_PAIR.format(b=4)
     )
     assert code == 3
     assert out == ""
-    assert "span of 8 vectors over F_5 has 390625 elements, above SPAN_CAP 300000" in err
+    assert (
+        "span of 8 vectors over F_5 has 390625 elements; the walk stopped after SPAN_CAP 100"
+        in err
+    )
 
 
 def test_conjtest_table_route(capsys):
