@@ -812,10 +812,7 @@ def _stabilizer(table: GroupTable, r: int) -> list[Mat]:
         alg = centralizer_algebra(g)
         if table.ctx.q**alg.dim <= limits.SPAN_CAP:
             members = []
-            for x in alg.elements():  # every unit is kept, so list them at once
-                d = x.det()
-                if not d or (kind == SL and d != 1):
-                    continue
+            for x in alg.units(1 if kind == SL else None):
                 i = table.index.get(x.data)
                 if i is None or x * g != g * x:
                     raise ConsistencyError("commutant unit outside the centralizer")

@@ -1,9 +1,8 @@
 """The one registry of resource bounds; no function takes a bound of its own.
 
 ZK_MAX_GROUP (default 2e6) bounds the groups instantiate(),
-closure_generate() and a seed partition's table enumerate, and the
-non-scalar GL/SL centralizer orders growth_degree reports in closed form;
-ZK_MAX_FIELD (default 2^20) the fields make_field() builds.
+closure_generate() and a seed partition's table enumerate; ZK_MAX_FIELD
+(default 2^20) the fields make_field() builds.
 Each is read from the invocation's flag (the command line puts
 --max-group and --max-field in INVOCATION for the whole command), else
 the environment variable, else the default.
@@ -14,11 +13,18 @@ field are no larger than a field that passed it, and h1_mu_n holds its
 realizing fields to H1_FIELD_CAP. The internal caps below are read as
 limits.NAME at call time; a BoundExceeded names the cap it hit.
 
-SPAN_CAP counts the elements a lazy span walk (matfq.span_walk) has
-tried, not the size of the span, so a first-hit search in a span of any
-size succeeds when its hit comes early; a listing of a whole span
-(matfq.span_vectors, grpcore's commutant units) is refused up front when
-the span has more than SPAN_CAP elements.
+SPAN_CAP bounds span walks two ways. A first-hit search whose hit is
+known to exist (the rational form's chains, the SL witness) counts the
+elements it has tried (matfq.span_walk), so it succeeds in a span of any
+size when its hit comes early. A caller that needs every element
+(TransporterSpace.elements, the structural commutant walk) is refused up
+front when the span has more than SPAN_CAP elements
+(matfq.check_span_size), and grpcore's commutant units give way to the
+Schreier closure there.
+
+growth_degree still refuses a non-scalar GL/SL centralizer order above
+ZK_MAX_GROUP, though it computes that order in closed form and
+enumerates nothing; ROADMAP lists the check for removal.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ DEFAULT_MAX_FIELD = 2**20
 SEARCH_CAP = 4_000_000  # largest field ff.poly_roots scans for roots
 FULL_TABLE_LIMIT = 100_000  # largest group z_partition partitions whole
 H1_FIELD_CAP = 2**62  # largest field h1_mu_n builds to realize roots of unity
-SPAN_CAP = 300_000  # most elements a lazy span walk tries; largest span listed at once
+SPAN_CAP = 300_000  # most elements a first-hit span walk tries; largest span walked whole
 UNIT_SCAN_CAP = 2**20  # largest field whose units power_class_count lists
 ORBIT_CHECK_LIMIT = 5000  # largest group whose classes get |cl(a)|·|C(a)| = |G| rechecked
 

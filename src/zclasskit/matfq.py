@@ -11,10 +11,12 @@ elimination alone, smaller ones closed forms. Spans grow one vector at a
 time through span_step, which fixes their one order; kernel bases are in
 reduced row echelon form, so every kernel and transporter space walks in
 ascending order and the least element with a property is the first hit.
-First-hit searches (the rational form's chains, the SL witness, the
-structural commutant walk) walk spans lazily with span_walk, which stops
-at SPAN_CAP elements tried; only a caller that needs every element lists
-the span at once (span_vectors, refused above SPAN_CAP before listing).
+Searches walk spans lazily with span_walk. A first-hit search whose hit
+is known to exist (the rational form's chains, the SL witness once the
+determinant test has passed) stops at SPAN_CAP elements tried; a caller
+that needs every element (TransporterSpace.elements, the structural
+commutant walk) is refused up front by check_span_size when the span has
+more than SPAN_CAP elements.
 
 Canonical-form machinery (charpoly, minpoly, invariant factors, rational
 form) runs through one Smith-normal-form routine over F_q[x]. An
@@ -434,17 +436,16 @@ def _capped_walk(walk, cap: int, message: str):
     raise BoundExceeded(message)
 
 
-def span_vectors(ctx: FieldCtx, basis) -> list[tuple[int, ...]]:
-    """Every linear combination of the basis vectors, listed at once in
-    span_step's order; refused before listing when there are more than
-    SPAN_CAP of them."""
-    total = ctx.q ** len(basis)
+def check_span_size(ctx: FieldCtx, dim: int) -> None:
+    """Refuse, before any work, a span of dim vectors with more than
+    SPAN_CAP elements: the check of a caller that needs every element (a
+    whole listing, or a search whose "no" is known only at the end)."""
+    total = ctx.q**dim
     if total > limits.SPAN_CAP:
         raise BoundExceeded(
-            f"span of {len(basis)} vectors over F_{ctx.name} has {total} elements, "
+            f"span of {dim} vectors over F_{ctx.name} has {total} elements, "
             f"above SPAN_CAP {limits.SPAN_CAP}"
         )
-    return list(span_walk(ctx, basis, len(basis[0]) if basis else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -807,11 +808,10 @@ class TransporterSpace:
         return (Mat._trusted(ctx, n, v) for v in vecs)
 
     def elements(self) -> list[Mat]:
-        """Every element, ascending, listed at once (refused above SPAN_CAP)."""
-        vecs = span_vectors(self.ctx, [m.data for m in self.basis])
-        if not self.basis:
-            vecs = [(0,) * (self.n * self.n)]
-        return [Mat._trusted(self.ctx, self.n, v) for v in vecs]
+        """Every element, ascending, listed at once; refused up front when
+        there are more than SPAN_CAP."""
+        check_span_size(self.ctx, self.dim)
+        return list(self.walk())
 
     def units(self, det: int | None = None) -> Iterator[Mat]:
         """The invertible elements, lazily and ascending; only those of
@@ -848,7 +848,9 @@ def sl_conjugate_test(A: Mat, B: Mat) -> Mat | None:
 
     Route: a rational-form witness X0 decides GL-conjugacy. Every other
     witness is X0 U with U a unit of C(B), and det maps those units onto
-    the e-th powers of F_q^*, e the type exponent of B; so a determinant-1
+    the e-th powers of F_q^*, e the gcd of every part of every lambda_f in
+    B's type, which is the gcd of the exponents in the squarefree
+    decompositions of B's invariant factors; so a determinant-1
     witness exists iff det(X0)^((q-1)/gcd(e, q-1)) = 1, and no element is
     tried when it does not. When it does, the transporter space T(A, B)
     holds every witness and walks ascending, so its first determinant-1
@@ -867,7 +869,7 @@ def sl_conjugate_test(A: Mat, B: Mat) -> Mat | None:
         return None
     X0 = _gl_witness(A, B, facs)
     ctx = A.ctx
-    e = math.gcd(type_exponent(factors_type(ctx, facs)), ctx.q - 1)
+    e = math.gcd(ctx.q - 1, *(i for f in facs for i in _squarefree_parts(ctx, f)))
     if ctx.pow(X0.det(), (ctx.q - 1) // e) != 1:
         return None
     X = next(transporter_space(A, B).units(1), None)

@@ -50,6 +50,7 @@ from .matfq import (
     centralizer_algebra,
     centralizer_order,
     charpoly,
+    check_span_size,
     factors_type,
     gl_conjugate_test,
     invariant_factors,
@@ -262,7 +263,9 @@ def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
     element, dimension n). For regular g, h the centralizers are conjugate
     iff g is conjugate, with admissible determinant, onto some generator
     of h's commutant; the commutant is walked lazily and ascending, and
-    its elements sharing g's invariant factors are tried in turn.
+    its elements sharing g's invariant factors are tried in turn. A "no"
+    needs the whole commutant, so one with more than SPAN_CAP elements is
+    refused before the walk starts.
     """
     if kind not in (GL, SL):
         raise ValueError(f"structural route supports gl/sl ambients, not {kind!r}")
@@ -276,6 +279,7 @@ def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
     alg_h = centralizer_algebra(h)
     if len(target) != 1 or alg_h.dim != h.n:
         raise ValueError("structural route supports scalar or regular elements only")
+    check_span_size(h.ctx, alg_h.dim)
     tr, dt = g.trace(), g.det()
     test = gl_conjugate_test if kind == GL else sl_conjugate_test
     for y in alg_h.walk():

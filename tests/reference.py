@@ -37,7 +37,9 @@ from zclasskit.matfq import (
     is_unipotent,
     mat_order,
     poly_of_matrix,
+    check_span_size,
     rref,
+    span_walk,
     transporter_space,
 )
 
@@ -216,6 +218,13 @@ def weil_embed(K: FieldCtx, r: int, x) -> Mat:
             sub_code = base.encode(coords[block * r : (block + 1) * r])
             data[block * n + j] = sub_code
     return Mat(base, n, data)
+
+
+def span_vectors(ctx: FieldCtx, basis) -> list[tuple[int, ...]]:
+    """Every linear combination of the basis vectors, listed at once in
+    span_step's order; refused up front when there are more than SPAN_CAP."""
+    check_span_size(ctx, len(basis))
+    return list(span_walk(ctx, basis, len(basis[0]) if basis else 0))
 
 
 def sl_witness_scan(A: Mat, B: Mat) -> Mat | None:

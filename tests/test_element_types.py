@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from reference import brute_type, sl_witness_scan
+from reference import brute_type, sl_witness_scan, span_vectors
 from zclasskit import limits
 from zclasskit.errors import BoundExceeded
 from zclasskit.ff import make_field
@@ -23,7 +23,6 @@ from zclasskit.matfq import (
     invariant_factors,
     regular_unipotent,
     sl_conjugate_test,
-    span_vectors,
     span_walk,
     transporter_space,
     type_exponent,

@@ -32,11 +32,10 @@ from zclasskit.matfq import (
     regular_unipotent,
     rref,
     sl_conjugate_test,
-    span_vectors,
     transporter_space,
 )
 
-from reference import jordan_decomposition, norm, weil_embed
+from reference import jordan_decomposition, norm, span_vectors, weil_embed
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)

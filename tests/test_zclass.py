@@ -7,7 +7,7 @@ import random
 import pytest
 
 from zclasskit.errors import BoundExceeded
-from zclasskit.ff import make_field, mult_generator, poly_eval, poly_is_squarefree
+from zclasskit.ff import make_field, mult_generator, poly_eval, poly_is_squarefree, poly_mul
 from zclasskit.grpcore import (
     BOREL_GL,
     BOREL_SL,
@@ -22,6 +22,7 @@ from zclasskit.grpcore import (
 )
 from zclasskit.matfq import (
     Mat,
+    TransporterSpace,
     centralizer_algebra,
     charpoly,
     is_unipotent,
@@ -366,6 +367,24 @@ def test_structural_scalars():
     two = Mat.scalar(F5, 3, 2)
     assert structural_z_equivalent(GL, ident, two) is not None
     assert structural_z_equivalent(GL, ident, Mat.companion(F5, (4, 0, 0, 1))) is None
+
+
+def test_structural_refuses_a_large_commutant_before_walking(monkeypatch):
+    # u is regular unipotent, h has charpoly (x-1)^7 (x-2): no generator of
+    # C(h) has minimal polynomial (x-1)^8, so the answer is "no", and a "no"
+    # needs all 5^8 = 390 625 elements of h's commutant, above SPAN_CAP
+    def walked(self):
+        raise AssertionError("the commutant was walked before its size was checked")
+
+    monkeypatch.setattr(TransporterSpace, "walk", walked)
+    u = regular_unipotent(8, 1, F5)
+    f = (1,)
+    for root in (1,) * 7 + (2,):
+        f = poly_mul(F5, f, (F5.neg(root), 1))
+    h = Mat.companion(F5, f)
+    with pytest.raises(BoundExceeded) as exc:
+        structural_z_equivalent(GL, u, h)
+    assert str(exc.value) == "span of 8 vectors over F_5 has 390625 elements, above SPAN_CAP 300000"
 
 
 def test_structural_sl3_f4_unipotent_obstruction(sl3_f4):
