@@ -10,20 +10,30 @@ choice in the package (moduli, generators, representatives, witnesses).
 The modulus of F_{p^m} is the lexicographically least monic irreducible
 of degree m, coefficients compared from x^(m-1) down to the constant
 term. For m = 1 this yields the polynomial x, so prime-field codes are
-the usual residues 0..p-1.
+the usual residues 0..p-1. The search tries the candidates in that order
+with Rabin's test. The powers x^(p^i) mod f are taken in the packed ring
+F_p[x]/f of the candidate (PackedRing, the arithmetic a field is built
+on), and the gcds with x^(p^i) - x over F_p.
 
 Arithmetic takes one of three paths, chosen by q: full q*q add/mul
-tables for q <= 512, exp/log tables of the least multiplicative generator
-for q <= 2^16, and raw polynomial arithmetic above that. A raw product
-works on a packed form of the code. For p = 2 the code already is the bit
-vector of the coefficients, and the product is a carry-less shift-and-XOR
-multiply. For odd p the digits are spread into w-bit slots of one integer,
-wide enough that no coefficient of a product carries into the next slot,
-so one integer multiply forms every coefficient at once (Kronecker
-substitution); one multiply by a fixed-point reciprocal of p then reduces
-all slots mod p together. Either way the product is reduced with
-x^m = g, where g is the negated low part of the modulus. The exp/log
-tables are built by walking g^i in the same packed form.
+tables for q <= 512, built with the field; exp/log tables of the least
+multiplicative generator for q <= 2^16, walked on demand; and raw
+polynomial arithmetic above that. A field of the middle tier starts on
+the raw path, which is exact, and walks its tables (g^i in packed form,
+q - 1 multiplies) once its raw path has done about as many packed
+multiplies as the walk costs. A field that hosts a handful of elements
+never pays for the walk, and bulk work pays at most about twice what an
+eager walk would.
+
+A raw product works on a packed form of the code. For p = 2 the code
+already is the bit vector of the coefficients, and the product is a
+carry-less shift-and-XOR multiply. For odd p the digits are spread into
+w-bit slots of one integer, wide enough that no coefficient of a product
+carries into the next slot, so one integer multiply forms every
+coefficient at once (Kronecker substitution); one multiply by a
+fixed-point reciprocal of p then reduces all slots mod p together.
+Either way the product is reduced with x^m = g, where g is the negated
+low part of the modulus.
 
 Polynomials over a field context are plain tuples of codes, constant
 term first, with no trailing zeros (the zero polynomial is the empty
@@ -203,37 +213,23 @@ def _is_prime(n: int) -> bool:
     return _factorize(n) == {n: 1}
 
 
-class FieldCtx:
-    """Arithmetic context for F_{p^m}; construct via make_field only."""
+class PackedRing:
+    """The ring F_p[x]/(f) for a monic f of degree m over F_p, on packed codes.
 
-    __slots__ = (
-        "p", "m", "q", "modulus", "name",
-        "_xm", "_slot", "_recip", "_digit_mask", "_levels",
-        "_add_tab", "_mul_tab", "_neg_tab", "_inv_tab",
-        "_exp", "_log", "_gen_code",
-    )
+    A residue has the code of a field element (sum c_i p^i); its packed form
+    holds one digit per slot (for p = 2 the code itself), so one integer
+    multiply forms a whole product. FieldCtx is this ring on an irreducible
+    modulus; the modulus search builds one per candidate.
+    """
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+    __slots__ = ("p", "m", "modulus", "_xm", "_slot", "_recip", "_digit_mask", "_levels")
+
+    def __init__(self, p: int, modulus: tuple[int, ...]):
         self.p = p
-        self.m = m
-        self.q = p**m
+        self.m = m = len(modulus) - 1
         self.modulus = modulus
-        self.name = f"{p}^{m}" if m > 1 else f"{p}"
-        self._init_packing()
-        self._add_tab = self._mul_tab = self._neg_tab = self._inv_tab = None
-        self._exp = self._log = None
-        self._gen_code = None
-        if self.q <= _TABLE_Q:
-            self._build_small_tables()
-        elif self.q <= _LOG_Q:
-            self._build_exp_log()
-
-    # -- raw polynomial arithmetic on packed codes ----------------------------
-
-    def _init_packing(self) -> None:
-        p, m = self.p, self.m
         # x^m = g modulo the monic modulus, g = -(modulus - x^m)
-        g = [(p - c) % p for c in self.modulus[:-1]]
+        g = [(p - c) % p for c in modulus[:-1]]
         if p == 2:
             self._xm = self._encode(g)
             self._levels = ()
@@ -307,13 +303,50 @@ class FieldCtx:
                 prod = (prod & low) ^ _clmul(prod >> m, g)
             return prod
         # the part above x^m times g is added back until none is left; g has
-        # low degree for least moduli, so one or two rounds do
+        # low degree for least moduli and the candidates before them, so one
+        # or two rounds do
         mw = m * self._slot
         low = (1 << mw) - 1
         prod = self._reduce_digits(a * b)
         while prod >> mw:
             prod = self._reduce_digits((prod & low) + (prod >> mw) * g)
         return prod
+
+    def _pow_packed(self, base: int, e: int) -> int:
+        """base^e of a packed code for e >= 0, by square and multiply."""
+        result = 1  # packed 1 is 1
+        while True:
+            if e & 1:
+                result = self._mul_packed(result, base)
+            e >>= 1
+            if not e:
+                return result
+            base = self._mul_packed(base, base)
+
+
+class FieldCtx(PackedRing):
+    """Arithmetic context for F_{p^m}; construct via make_field only."""
+
+    __slots__ = (
+        "q", "name",
+        "_add_tab", "_mul_tab", "_neg_tab", "_inv_tab",
+        "_exp", "_log", "_gen_code", "_raw_left",
+    )
+
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
+        super().__init__(p, modulus)
+        self.q = p**m
+        self.name = f"{p}^{m}" if m > 1 else f"{p}"
+        self._add_tab = self._mul_tab = self._neg_tab = self._inv_tab = None
+        self._exp = self._log = None
+        self._gen_code = None
+        # packed multiplies the raw path may still do before the exp/log
+        # table is walked: as many as the walk itself costs
+        self._raw_left = self.q - 1 if self.q <= _LOG_Q else math.inf
+        if self.q <= _TABLE_Q:
+            self._build_small_tables()
+
+    # -- raw arithmetic on codes, through the packed ring -------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
         return self._unpack(self._mul_packed(self._pack(a), self._pack(b)))
@@ -345,22 +378,8 @@ class FieldCtx:
         return out
 
     def _pow_raw(self, a: int, e: int) -> int:
-        if a == 0:
-            if e > 0:
-                return 0
-            if e == 0:
-                return 1
-            raise ZeroDivisionError("0 has no negative powers")
-        e %= self.q - 1 if self.q > 2 else 1
-        result = 1  # packed 1 is 1
-        base = self._pack(a)
-        while True:
-            if e & 1:
-                result = self._mul_packed(result, base)
-            e >>= 1
-            if not e:
-                return self._unpack(result)
-            base = self._mul_packed(base, base)
+        """a^e for a unit a and 0 <= e < q - 1."""
+        return self._unpack(self._pow_packed(self._pack(a), e))
 
     # -- table construction -------------------------------------------------
 
@@ -445,11 +464,11 @@ class FieldCtx:
         t = self._mul_tab
         if t is not None:
             return t[a * self.q + b]
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return self._mul_raw(a, b)
+        if self._exp is None and not self._walk_due(1):
+            return self._mul_raw(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -457,9 +476,7 @@ class FieldCtx:
         t = self._inv_tab
         if t is not None:
             return t[a]
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self._pow_raw(a, self.q - 2)
+        return self._pow_unit(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -468,9 +485,24 @@ class FieldCtx:
             if e == 0:
                 return 1
             raise ZeroDivisionError("0 has no negative powers")
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
-        return self._pow_raw(a, e if e >= 0 else e % (self.q - 1))
+        return self._pow_unit(a, e % (self.q - 1))
+
+    def _pow_unit(self, a: int, e: int) -> int:
+        """a^e for a unit a and 0 <= e < q - 1; square and multiply costs
+        about e.bit_length() + e.bit_count() packed multiplies."""
+        if self._exp is None and not self._walk_due(e.bit_length() + e.bit_count()):
+            return self._pow_raw(a, e)
+        return self._exp[self._log[a] * e % (self.q - 1)]
+
+    def _walk_due(self, cost: int) -> bool:
+        """Charge `cost` packed multiplies to the raw path and walk the
+        exp/log table once the raw path has done as many as the walk costs
+        (q - 1). True when the table exists."""
+        self._raw_left -= cost
+        if self._raw_left > 0:
+            return False
+        self._build_exp_log()
+        return True
 
     def elements(self) -> range:
         return range(self.q)
@@ -503,21 +535,29 @@ def _clmul(a: int, b: int) -> int:
 # modulus selection and the field cache
 
 
-def _irreducible(prime_ctx: FieldCtx, f: tuple[int, ...]) -> bool:
-    """Degree-m monic f is irreducible iff gcd(f, x^(p^i) - x) = 1 for i <= m/2."""
+def _irreducible(p: int, f: tuple[int, ...]) -> bool:
+    """Rabin's test for a monic f of degree m >= 2 over F_p: f is irreducible
+    iff x^(p^m) = x mod f and gcd(f, x^(p^(m/l)) - x) = 1 for every prime
+    l | m. The powers x^(p^i) are taken in the packed ring F_p[x]/f and the
+    gcds over F_p. The gcd at i = 1, a root in F_p, is taken too, since most
+    reducible candidates fail there."""
+    ring = PackedRing(p, f)
+    prime_ctx = _field(p, 1)
     m = len(f) - 1
-    p = prime_ctx.p
-    t = (0, 1)  # x
-    for _ in range(m // 2):
-        t = poly_pow_mod(prime_ctx, t, p, f)
-        g = poly_gcd(prime_ctx, f, poly_sub(prime_ctx, t, (0, 1)))
-        if g != (1,):
-            return False
-    return True
+    x = ring._pack(p)
+    checks = {1} | {m // ell for ell in _factorize(m)}
+    t = x
+    for i in range(1, m + 1):
+        t = ring._pow_packed(t, p)
+        if i in checks:
+            h = ring._decode(ring._unpack(t))
+            h[1] = (h[1] - 1) % p
+            if poly_gcd(prime_ctx, f, poly_trim(tuple(h))) != (1,):
+                return False
+    return t == x
 
 
 def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
-    prime_ctx = _field(p, 1)
     for k in range(p**m):
         coeffs = []
         kk = k
@@ -527,10 +567,7 @@ def _least_irreducible(p: int, m: int) -> tuple[int, ...]:
         # k's base-p digits give (c_0, ..., c_{m-1}) with c_{m-1} most
         # significant in the scan order required of the tie-break
         f = tuple(coeffs) + (1,)
-        # cheap root pruning before the gcd test
-        if any(poly_eval(prime_ctx, f, a) == 0 for a in range(min(p, 16))):
-            continue
-        if _irreducible(prime_ctx, f):
+        if _irreducible(p, f):
             return f
     raise ConsistencyError(f"no irreducible of degree {m} over F_{p}")
 

@@ -21,10 +21,6 @@ size when its hit comes early. A caller that needs every element
 front when the span has more than SPAN_CAP elements
 (matfq.check_span_size), and grpcore's commutant units give way to the
 Schreier closure there.
-
-growth_degree still refuses a non-scalar GL/SL centralizer order above
-ZK_MAX_GROUP, though it computes that order in closed form and
-enumerates nothing; ROADMAP lists the check for removal.
 """
 from __future__ import annotations
 

@@ -465,14 +465,7 @@ def _ext_centralizer_order(family: FamilySpec, ext: FieldCtx, g_up: Mat) -> int:
         return family_order(family, ext)
     if family.kind in (GL, SL):
         typ = factors_type(ext, invariant_factors(g_up))
-        order = centralizer_order(typ, ext.q, family.kind == SL)
-        cap = limits.max_group()
-        if order > cap:
-            raise BoundExceeded(
-                f"centralizer of order {order} over F_{ext.name} exceeds {cap} "
-                "(ZK_MAX_GROUP / --max-group)"
-            )
-        return order
+        return centralizer_order(typ, ext.q, family.kind == SL)
     tbl = instantiate(family, ext)
     return centralizer(tbl, tbl.id_of(g_up)).order
 

@@ -18,7 +18,10 @@ from zclasskit.ff import (
     _embed_code,
     make_field,
     mult_generator,
+    poly_gcd,
     poly_mod,
+    poly_pow_mod,
+    poly_sub,
 )
 from zclasskit.grpcore import (
     DIHEDRAL,
@@ -236,6 +239,21 @@ def sl_witness_scan(A: Mat, B: Mat) -> Mat | None:
     if invariant_factors(A) != invariant_factors(B):
         return None
     return next((X for X in transporter_space(A, B).elements() if X.det() == 1), None)
+
+
+def irreducible_by_pow_mod(prime_ctx: FieldCtx, f: tuple[int, ...]) -> bool:
+    """The modulus search's test before it moved to the packed ring: monic f
+    of degree m is irreducible iff gcd(f, x^(p^i) - x) = 1 for i <= m/2, each
+    x^(p^i) mod f taken by poly_pow_mod over the prime field."""
+    m = len(f) - 1
+    p = prime_ctx.p
+    t = (0, 1)  # x
+    for _ in range(m // 2):
+        t = poly_pow_mod(prime_ctx, t, p, f)
+        g = poly_gcd(prime_ctx, f, poly_sub(prime_ctx, t, (0, 1)))
+        if g != (1,):
+            return False
+    return True
 
 
 def monic_irreducibles(ctx: FieldCtx, top: int) -> list[tuple[int, ...]]:

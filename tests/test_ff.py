@@ -23,7 +23,7 @@ from zclasskit.ff import (
     power_class_count,
 )
 
-from reference import big_field, frobenius, norm
+from reference import big_field, frobenius, irreducible_by_pow_mod, norm
 
 SMALL_Q = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3)]
 
@@ -73,6 +73,36 @@ def test_known_moduli_frozen():
     assert make_field(3, 3).modulus == (1, 2, 0, 1)
     assert make_field(5, 2).modulus == (2, 0, 1)
     assert make_field(7, 1).modulus == (0, 1)
+
+
+# every field the benchmark workloads build above the full tables: the
+# exp/log tier, then the raw tier
+SEARCHED_FIELDS = [
+    (2, 10), (2, 12), (3, 6), (3, 8), (3, 10), (5, 4), (5, 5), (5, 6), (7, 4),
+    (11, 3), (11, 4), (13, 3), (13, 4),
+    (2, 20), (2, 24), (2, 30), (2, 40), (2, 60), (3, 12), (3, 20), (5, 8), (5, 10),
+    (5, 12), (7, 6), (7, 8), (7, 10), (7, 20), (11, 6), (11, 8), (11, 12), (13, 6), (13, 8),
+]
+
+
+@pytest.mark.parametrize("p,m", SEARCHED_FIELDS, ids=lambda v: str(v))
+def test_packed_search_agrees_with_pow_mod_route(p, m):
+    # every monic candidate up to and including the least irreducible
+    prime = make_field(p, 1)
+    for f in _all_monics(p, m):
+        expected = irreducible_by_pow_mod(prime, f)
+        assert ff._irreducible(p, f) == expected, f
+        if expected:
+            break
+    assert f == big_field(p, m).modulus
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (2, 8), (3, 4), (3, 6), (5, 4), (7, 3), (11, 2)],
+                         ids=lambda v: str(v))
+def test_packed_search_agrees_with_pow_mod_route_on_every_monic(p, m):
+    prime = make_field(p, 1)
+    for f in _all_monics(p, m):
+        assert ff._irreducible(p, f) == irreducible_by_pow_mod(prime, f), f
 
 
 def test_make_field_is_cached_singleton():
@@ -251,12 +281,57 @@ def test_raw_mul_agrees_with_polynomial_reduction(p, m):
         assert ctx._mul_raw(a, b) == _reference_mul(ctx, a, b)
 
 
-@pytest.mark.parametrize(
-    "p,m", [(2, 10), (2, 16), (3, 7), (3, 10), (5, 6), (7, 5), (11, 4), (13, 4)],
-    ids=lambda v: str(v),
-)
+EXP_LOG_FIELDS = [(2, 10), (2, 16), (3, 7), (3, 10), (5, 6), (7, 5), (11, 4), (13, 4)]
+
+
+def _walk_by_multiplying(ctx) -> int:
+    """Multiply through ctx.mul until the exp/log table is walked, as bulk
+    work would; the number of products it took."""
+    a, steps = 1, 0
+    while ctx._exp is None:
+        assert steps < ctx.q, "the raw path never walked the exp/log table"
+        a = ctx.mul(a, ctx.p)
+        steps += 1
+    return steps
+
+
+def _fresh(p: int, m: int):
+    """A context of F_{p^m} on the canonical modulus, outside the field cache."""
+    return ff.FieldCtx(p, m, make_field(p, m).modulus)
+
+
+@pytest.mark.parametrize("p,m", EXP_LOG_FIELDS, ids=lambda v: str(v))
+def test_exp_log_tier_starts_without_tables(p, m):
+    ctx = _fresh(p, m)
+    assert ctx._exp is None and ctx._log is None and ctx._mul_tab is None
+    mult_generator(ctx)  # finding the generator walks nothing
+    assert ctx._exp is None
+    # the raw path pays for the walk before it is taken: q - 1 products
+    assert _walk_by_multiplying(ctx) == ctx.q - 1
+    assert ctx._exp is not None and len(ctx._exp) == ctx.q - 1
+
+
+@pytest.mark.parametrize("p,m", EXP_LOG_FIELDS, ids=lambda v: str(v))
+def test_exp_log_tables_keep_the_raw_answers(p, m):
+    ctx = _fresh(p, m)
+    rng = random.Random(p * 100 + m)
+    sample = [(rng.randrange(ctx.q), rng.randrange(1, ctx.q), rng.randrange(-ctx.q, 2 * ctx.q))
+              for _ in range(12)]
+
+    def answers():
+        return [(ctx.mul(a, u), ctx.mul(u, a), ctx.inv(u), ctx.pow(u, e), ctx.pow(a, abs(e)))
+                for a, u, e in sample]
+
+    before = answers()
+    assert ctx._exp is None  # the sample ran on the raw path
+    _walk_by_multiplying(ctx)
+    assert answers() == before
+
+
+@pytest.mark.parametrize("p,m", EXP_LOG_FIELDS, ids=lambda v: str(v))
 def test_exp_table_is_the_generator_walk(p, m):
     ctx = make_field(p, m)
+    _walk_by_multiplying(ctx)
     assert ctx._exp is not None and ctx._mul_tab is None
     g = mult_generator(ctx).code
     cur = 1

@@ -169,7 +169,6 @@ def test_max_bounds_name_their_knob(monkeypatch):
     cases = [
         (10, lambda: instantiate(gl2, F5), "above bound 10 " + group),
         (3, lambda: closure_generate(F5, [u]), "exceeded bound 3 " + group),
-        (10, lambda: zclass._ext_centralizer_order(gl2, F5, u), "exceeds 10 " + group),
         (10, lambda: zclass._seed_partition(borel2, F5, [u]), "beyond both routes " + group),
     ]
     for bound, call, text in cases:
@@ -544,8 +543,10 @@ def test_growth_agrees_with_table_centralizer():
 
 
 def test_growth_bound():
-    with pytest.raises(BoundExceeded):
-        growth_degree(FamilySpec(GL, 2), F3, regular_unipotent(2, 1, F3), [8])
+    # a closed-form order above ZK_MAX_GROUP enumerates nothing, so it is not refused
+    g = growth_degree(FamilySpec(GL, 2), F3, regular_unipotent(2, 1, F3), [8])
+    assert g.orders == (6561 * 6560,)
+    assert g.estimates == (2,)
 
 
 # ---------------------------------------------------------------------------
