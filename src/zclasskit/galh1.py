@@ -330,15 +330,7 @@ def cocycle_of_form(
         members = list(normalizer_members)
     if c not in set(members):
         raise ConsistencyError("cocycle value missed the supplied normalizer")
-    T = make_twisted(
-        members,
-        operator.mul,
-        Mat.inverse,
-        Mat.identity(ext, a.n),
-        lambda x: mat_frobenius(x, ctx.m),
-        r,
-        label=f"N({family.label()}-form)@F_{ext.name}",
-    )
+    T = twisted_from_matrices(members, ctx, r, label=f"N({family.label()}-form)@F_{ext.name}")
     co = Cocycle(c, T)
     if not cocycle_check(co):
         raise ConsistencyError("constructed value fails the cocycle condition")

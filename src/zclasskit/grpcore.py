@@ -13,7 +13,8 @@ t_b t_a^-1 C(a) that a pivot element a can be sent along, never the whole
 group, and compare no invariant of the subgroups first. Orbits of other
 hashable points are walked by key_orbits: twisted carriers, coset tables,
 and the closure of a generating set, which is the orbit of the identity
-under right multiplication by the generators.
+under right multiplication by the generators. The same walk on ids
+certifies that a table's generators reach every element.
 """
 from __future__ import annotations
 
@@ -301,7 +302,7 @@ class GroupTable:
         self._classes = None
         self._orbit_root = None  # array('i'): root id of the walk that reached each id, -1 before
         self._orbit_parent = None  # array('i'): Schreier-tree parent id (a root is its own)
-        self._orbit_gen = None  # array('b'): index of the generator on the tree edge
+        self._orbit_gen = None  # array('i'): index of the generator on the tree edge
         self._orbits: dict = {}  # root id -> array of orbit ids in walk order
         self._centralizers: dict[int, tuple] = {}  # id -> parts, see _centralizer_parts
 
@@ -336,27 +337,21 @@ class GroupTable:
         return f"GroupTable({label}@{self.ctx.name}, order {self.order})"
 
     def _reached(self) -> int:
-        """How many elements the generators reach from the identity, by a
-        breadth-first walk on ids."""
-        from array import array  # an extension module: loaded by table work only
-
+        """How many elements the generators reach from the identity: the
+        key_orbits walk of closure_generate, on ids."""
         elements, index = self.elements, self.index
-        seen = bytearray(self.order)
-        seen[self._identity_id] = 1
-        queue = array("i", [self._identity_id])
-        for x in queue:  # the walk appends to queue as it goes
-            mx = elements[x]
-            for g in self.gens:
-                y = index.get((mx * g).data)
-                if y is None:
-                    raise ConsistencyError("a generator leads outside the group table")
-                if not seen[y]:
-                    seen[y] = 1
-                    queue.append(y)
-        return len(queue)
+
+        def id_in_table(m: Mat) -> int:
+            y = index.get(m.data)
+            if y is None:
+                raise ConsistencyError("a generator leads outside the group table")
+            return y
+
+        moves = [lambda x, g=g: id_in_table(elements[x] * g) for g in self.gens]
+        return len(next(key_orbits([self._identity_id], moves)))
 
     def _certify_generators(self) -> bool:
-        """Verify the stored generators reach every element (BFS once).
+        """Verify the stored generators reach every element (one closure walk).
 
         Generators that fall short are replaced by the fallback set, which
         drops every orbit and centralizer found so far; the return value
@@ -733,7 +728,7 @@ def _walk(table: GroupTable, seed: int) -> int:
     if root is None:
         root = table._orbit_root = array("i", [-1]) * table.order
         table._orbit_parent = array("i", [0]) * table.order
-        table._orbit_gen = array("b", bytes(table.order))
+        table._orbit_gen = array("i", [0]) * table.order
     if root[seed] >= 0:
         return root[seed]
     parent, via = table._orbit_parent, table._orbit_gen

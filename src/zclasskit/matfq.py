@@ -5,8 +5,8 @@ tuple of n*n element codes. The data tuple doubles as the canonical
 encoding, so tuple comparison of .data is the canonical matrix order.
 
 Linear algebra runs through one rref: inverses above 3x3 reduce [A | I],
-kernels and solves reduce their systems (only the rational form's chain
-search keeps an incremental echelon). Determinants above 3x3 use forward
+kernels and solves reduce their systems (only the rational form's greedy
+chain pick keeps an incremental echelon). Determinants above 3x3 use forward
 elimination alone, smaller ones closed forms. Spans grow one vector at a
 time through span_step, which fixes their one order; kernel bases are in
 reduced row echelon form, so every kernel and transporter space walks in
@@ -19,7 +19,10 @@ commutant walk) is refused up front by check_span_size when the span has
 more than SPAN_CAP elements.
 
 Canonical-form machinery (charpoly, minpoly, invariant factors, rational
-form) runs through one Smith-normal-form routine over F_q[x]. An
+form) runs through one Smith-normal-form routine over F_q[x]. The
+rational form keeps, for each factor, the first kernel vector whose
+chain extends the chains before it, and never revisits that pick: a
+cyclic submodule of largest order is a direct summand. An
 element's type (the degree and exponent partition of each irreducible
 factor) comes from the invariant factors without factoring them, and
 gives the closed-form centralizer order. Conjugacy tests build on the
@@ -712,8 +715,14 @@ def rcf(A: Mat, facs=None) -> RcfResult:
     in divisibility order; transform * A * transform^-1 = form. The
     module generators behind transform are chosen least-encoding-first
     (largest factor first), so the output is deterministic: each kernel
-    of f(A) is walked lazily and ascending, and the chain search stops at
-    its first fit. facs, when given, are A's invariant factors.
+    of f(A) is walked lazily and ascending, and the first vector whose
+    chain w, Aw, ..., A^(deg f - 1) w extends the echelon of the chains
+    so far is kept. No later factor can fail on that choice: the chains
+    so far span a direct summand M whose complement C has the remaining
+    factors, the new chain is independent of M, so the projection of its
+    cyclic module into C is cyclic of C's largest order, and a cyclic
+    submodule of largest order is a direct summand. facs, when given,
+    are A's invariant factors.
     """
     ctx, n = A.ctx, A.n
     if facs is None:
@@ -729,40 +738,29 @@ def rcf(A: Mat, facs=None) -> RcfResult:
         offset += d
     form = Mat(ctx, n, data)
 
-    order = sorted(range(len(facs)), key=lambda i: len(facs[i]), reverse=True)
     kernels = {f: kernel_basis(ctx, poly_of_matrix(ctx, f, A).rows(), n) for f in set(facs)}
 
-    def search(pos: int, ech, chains):
-        if pos == len(order):
-            return chains
-        f = facs[order[pos]]
-        deg = len(f) - 1
-        for w in span_walk(ctx, kernels[f], n):
-            if not any(w):
-                continue
-            trial = list(ech)
-            chain = []
-            v = w
-            ok = True
-            for _ in range(deg):
-                chain.append(v)
-                if not _ech_insert(ctx, trial, v):
-                    ok = False
-                    break
-                v = _apply(A, v)
-            if not ok:
-                continue
-            found = search(pos + 1, trial, chains + [(order[pos], chain)])
-            if found is not None:
-                return found
-        return None
+    def chain_of(ech, w, deg: int):
+        """(ech grown by the chain w, Aw, ..., A^(deg-1) w, the chain), or
+        None when the chain is not independent of ech."""
+        grown, chain = list(ech), []
+        for _ in range(deg):
+            if not _ech_insert(ctx, grown, w):
+                return None
+            chain.append(w)
+            w = _apply(A, w)
+        return grown, chain
 
-    chains = search(0, [], [])
-    if chains is None:
-        raise ConsistencyError("no module generators found for the rational form")
-    columns: list[tuple[int, ...]] = []
-    for _, chain in sorted(chains):
-        columns.extend(chain)
+    ech: list = []
+    chains: list = [None] * len(facs)
+    for i in sorted(range(len(facs)), key=lambda i: len(facs[i]), reverse=True):
+        f = facs[i]
+        fits = (chain_of(ech, w, len(f) - 1) for w in span_walk(ctx, kernels[f], n))
+        fit = next(filter(None, fits), None)
+        if fit is None:
+            raise ConsistencyError("no module generators found for the rational form")
+        ech, chains[i] = fit
+    columns = [v for chain in chains for v in chain]
     Y = Mat(ctx, n, [columns[j][i] for i in range(n) for j in range(n)])
     transform = Y.inverse()
     if transform * A * Y != form:

@@ -47,6 +47,7 @@ from .grpcore import (
 from . import limits
 from .matfq import (
     Mat,
+    _gl_witness,
     centralizer_algebra,
     centralizer_order,
     charpoly,
@@ -281,11 +282,10 @@ def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
         raise ValueError("structural route supports scalar or regular elements only")
     check_span_size(h.ctx, alg_h.dim)
     tr, dt = g.trace(), g.det()
-    test = gl_conjugate_test if kind == GL else sl_conjugate_test
     for y in alg_h.walk():
         if y.trace() != tr or y.det() != dt or invariant_factors(y) != target:
             continue
-        w = test(y, g)
+        w = _gl_witness(y, g, target) if kind == GL else sl_conjugate_test(y, g)
         if w is not None:
             return w
     return None
@@ -461,8 +461,6 @@ class GrowthDegree:
 
 
 def _ext_centralizer_order(family: FamilySpec, ext: FieldCtx, g_up: Mat) -> int:
-    if family.kind in (GL, SL) and g_up.is_scalar():
-        return family_order(family, ext)
     if family.kind in (GL, SL):
         typ = factors_type(ext, invariant_factors(g_up))
         return centralizer_order(typ, ext.q, family.kind == SL)

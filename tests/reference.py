@@ -34,10 +34,13 @@ from zclasskit.grpcore import (
 )
 from zclasskit.matfq import (
     Mat,
+    RcfResult,
     _apply,
+    _ech_insert,
     invariant_factors,
     is_semisimple,
     is_unipotent,
+    kernel_basis,
     mat_order,
     poly_of_matrix,
     check_span_size,
@@ -239,6 +242,74 @@ def sl_witness_scan(A: Mat, B: Mat) -> Mat | None:
     if invariant_factors(A) != invariant_factors(B):
         return None
     return next((X for X in transporter_space(A, B).elements() if X.det() == 1), None)
+
+
+def rcf_backtracking(A: Mat, facs=None) -> RcfResult:
+    """Rational canonical form and a conjugating transform by the
+    backtracking chain search matfq.rcf made before its greedy pick: the
+    search recurses over the factors and would retry an earlier pick if a
+    later factor found no fit.
+
+    form is block-diagonal with companion blocks of the invariant factors
+    in divisibility order; transform * A * transform^-1 = form. The
+    module generators behind transform are chosen least-encoding-first
+    (largest factor first), so the output is deterministic: each kernel
+    of f(A) is walked lazily and ascending, and the chain search stops at
+    its first fit. facs, when given, are A's invariant factors.
+    """
+    ctx, n = A.ctx, A.n
+    if facs is None:
+        facs = invariant_factors(A)
+    data = [0] * (n * n)
+    offset = 0
+    for f in facs:
+        B = Mat.companion(ctx, f)
+        d = B.n
+        for i in range(d):
+            for j in range(d):
+                data[(offset + i) * n + (offset + j)] = B.data[i * d + j]
+        offset += d
+    form = Mat(ctx, n, data)
+
+    order = sorted(range(len(facs)), key=lambda i: len(facs[i]), reverse=True)
+    kernels = {f: kernel_basis(ctx, poly_of_matrix(ctx, f, A).rows(), n) for f in set(facs)}
+
+    def search(pos: int, ech, chains):
+        if pos == len(order):
+            return chains
+        f = facs[order[pos]]
+        deg = len(f) - 1
+        for w in span_walk(ctx, kernels[f], n):
+            if not any(w):
+                continue
+            trial = list(ech)
+            chain = []
+            v = w
+            ok = True
+            for _ in range(deg):
+                chain.append(v)
+                if not _ech_insert(ctx, trial, v):
+                    ok = False
+                    break
+                v = _apply(A, v)
+            if not ok:
+                continue
+            found = search(pos + 1, trial, chains + [(order[pos], chain)])
+            if found is not None:
+                return found
+        return None
+
+    chains = search(0, [], [])
+    if chains is None:
+        raise ConsistencyError("no module generators found for the rational form")
+    columns: list[tuple[int, ...]] = []
+    for _, chain in sorted(chains):
+        columns.extend(chain)
+    Y = Mat(ctx, n, [columns[j][i] for i in range(n) for j in range(n)])
+    transform = Y.inverse()
+    if transform * A * Y != form:
+        raise ConsistencyError("rational-form transform failed verification")
+    return RcfResult(form, transform)
 
 
 def irreducible_by_pow_mod(prime_ctx: FieldCtx, f: tuple[int, ...]) -> bool:

@@ -18,6 +18,7 @@ from zclasskit.grpcore import (
     SL,
     UNIPOTENT,
     FamilySpec,
+    GroupTable,
     VirtualGroup,
     center,
     centralizer,
@@ -263,6 +264,17 @@ def test_closure_bound_and_bad_input(monkeypatch):
         closure_generate(F5, [])
 
 
+def test_certify_generators_failures():
+    spec = FamilySpec(SL, 2)
+    elements = list(instantiate(spec, F3).elements)
+    outside = GroupTable(spec, F3, elements, [Mat.diagonal(F3, [2, 1])])
+    with pytest.raises(ConsistencyError, match="leads outside the group table"):
+        whole_group(outside)
+    short = GroupTable(spec, F3, elements, [Mat.from_rows(F3, [[1, 1], [0, 1]])])
+    with pytest.raises(ConsistencyError, match="generators reach 3 of 24"):
+        whole_group(short)
+
+
 # ---------------------------------------------------------------------------
 # conjugacy classes
 
@@ -307,6 +319,25 @@ def test_classes_abelian_singletons():
 def test_class_counts_frozen():
     assert len(conjugacy_classes(instantiate(FamilySpec(GL, 2), F3))) == 8
     assert len(conjugacy_classes(instantiate(FamilySpec(GL, 2), F5))) == 24
+
+
+def test_classes_under_more_than_127_generators():
+    # the Schreier tree records generator indices past a signed byte
+    u = Mat.from_rows(F3, [[1, 1], [0, 1]])
+    low = Mat.from_rows(F3, [[1, 0], [1, 1]])
+    d = Mat.diagonal(F3, [2, 1])
+    table = closure_generate(F3, [Mat.identity(F3, 2)] * 130 + [u, low, d])
+    small = closure_generate(F3, [u, low, d])
+    assert len(table.gens) == 133 and table.order == small.order == 48
+
+    def classes(t):
+        return {frozenset(t.mat_of(i) for i in c.member_ids) for c in conjugacy_classes(t)}
+
+    assert classes(table) == classes(small)
+    for m in table.elements:
+        assert centralizer(table, table.id_of(m)).member_set == (
+            centralizer(small, small.id_of(m)).member_set
+        )
 
 
 def test_orbit_stabilizer_identity():

@@ -35,7 +35,7 @@ from zclasskit.matfq import (
     transporter_space,
 )
 
-from reference import jordan_decomposition, norm, span_vectors, weil_embed
+from reference import jordan_decomposition, norm, rcf_backtracking, span_vectors, weil_embed
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -386,6 +386,36 @@ def test_rcf_transforms_and_gl_witnesses_pinned():
                         break
                 digest.update(mat_literal(gl_conjugate_test(A, X * A * X.inverse())).encode())
     assert digest.hexdigest() == "e47fe3e90ae6137ef9424609388f5e662b243a9803ef1b4844b9810b54fdf51b"
+
+
+def _jordan_type(rng, ctx, n: int) -> Mat:
+    """Block-diagonal Jordan blocks of sizes at most 3 on one or two
+    eigenvalues, so that invariant factors repeat."""
+    eigen = rng.sample(range(ctx.q), rng.choice((1, 2)))
+    data = [0] * (n * n)
+    start = 0
+    while start < n:
+        end = start + min(rng.choice((1, 1, 2, 2, 3)), n - start)
+        c = rng.choice(eigen)
+        for i in range(start, end):
+            data[i * n + i] = c
+            if i + 1 < end:
+                data[i * n + i + 1] = 1
+        start = end
+    return Mat(ctx, n, data)
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F4, F5], ids=lambda c: c.name)
+def test_rcf_greedy_pick_matches_backtracking(ctx):
+    # repeated invariant factors are where a chain pick could block a later
+    # factor; the greedy pick gives the transform the backtracking search gave
+    rng = random.Random(ctx.q)
+    for n in range(1, 7):
+        for _ in range(22):
+            A = _jordan_type(rng, ctx, n)
+            X = _random_invertible(rng, ctx, n)
+            for M in (A, X * A * X.inverse()):
+                assert rcf(M) == rcf_backtracking(M)
 
 
 # ---------------------------------------------------------------------------

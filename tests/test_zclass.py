@@ -523,6 +523,8 @@ def test_growth_sl_route():
     g = growth_degree(FamilySpec(SL, 2), F5, regular_unipotent(2, 1, F5), [1, 2])
     assert g.orders == (10, 50)
     assert g.stable and g.degree == 1
+    g = growth_degree(FamilySpec(SL, 2), F5, Mat.scalar(F5, 2, 4), [1, 2])
+    assert g.orders == (120, 15600)  # |SL2(F_q)| = q(q^2 - 1) for q = 5, 25
 
 
 def test_growth_flags_short_or_unstable_samples():
