@@ -13,10 +13,11 @@ reduced row echelon form, so every kernel and transporter space walks in
 ascending order and the least element with a property is the first hit.
 Searches walk spans lazily with span_walk. A first-hit search whose hit
 is known to exist (the rational form's chains, the SL witness once the
-determinant test has passed) stops at SPAN_CAP elements tried; a caller
-that needs every element (TransporterSpace.elements, the structural
-commutant walk) is refused up front by check_span_size when the span has
-more than SPAN_CAP elements.
+determinant test has passed, the GL structural witness of a same-type
+pair) stops at SPAN_CAP elements tried; a caller that needs every element
+(TransporterSpace.elements, the SL structural commutant walk) is refused
+up front by check_span_size when the span has more than SPAN_CAP
+elements.
 
 Canonical-form machinery (charpoly, minpoly, invariant factors, rational
 form) runs through one Smith-normal-form routine over F_q[x]. The
@@ -839,6 +840,19 @@ def transporter_space(A: Mat, B: Mat) -> TransporterSpace:
 
 def centralizer_algebra(A: Mat) -> TransporterSpace:
     return transporter_space(A, A)
+
+
+def polynomial_algebra(A: Mat) -> TransporterSpace:
+    """F_q[A], with the reduced echelon basis of I, A, ..., A^(n-1). For
+    regular A this is A's commutant, and since a space has one reduced
+    echelon basis it is the basis centralizer_algebra(A) solves its
+    n^2 x n^2 system for."""
+    ctx, n = A.ctx, A.n
+    powers = [Mat.identity(ctx, n)]
+    while len(powers) < n:
+        powers.append(powers[-1] * A)
+    rows = [tuple(r) for r in rref(ctx, [P.data for P in powers])[0] if any(r)]
+    return TransporterSpace(ctx, n, tuple(Mat._trusted(ctx, n, r) for r in rows))
 
 
 def sl_conjugate_test(A: Mat, B: Mat) -> Mat | None:

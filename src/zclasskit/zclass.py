@@ -18,10 +18,16 @@ route works in GL/SL ambients for scalar or regular elements (those with
 one invariant factor, whose commutant algebra has the minimal dimension
 n): there the centralizer is the unit group of the commutant, and
 centralizer conjugacy reduces to element conjugacy onto some generator
-of the other commutant. A seed partition takes the structural route
-wherever it applies, as fusion counts do; the routes are cross-validated
-against each other wherever both apply. Growth degrees read GL/SL
-centralizer orders in closed form from the element's type.
+of the other commutant. In GL an element's z-class is fixed by its type
+(the degree and exponent partition of each irreducible factor of its
+characteristic polynomial), so a GL seed partition groups the seeds by
+type, whatever the seeds, and a structural GL pair of different types is
+answered without a walk. In SL one type can hold several z-classes, so
+an SL seed partition tests pairs on the structural route when every seed
+is scalar or regular, and otherwise takes the table route. The routes
+are cross-validated against each other wherever both apply. Growth
+degrees read GL/SL centralizer orders in closed form from the element's
+type.
 """
 from __future__ import annotations
 
@@ -48,7 +54,6 @@ from . import limits
 from .matfq import (
     Mat,
     _gl_witness,
-    centralizer_algebra,
     centralizer_order,
     charpoly,
     check_span_size,
@@ -58,6 +63,7 @@ from .matfq import (
     is_unipotent,
     mat_embed,
     mat_literal,
+    polynomial_algebra,
     sl_conjugate_test,
 )
 
@@ -260,11 +266,16 @@ def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
     """Table-free z-equivalence in a GL or SL ambient.
 
     Supported elements: scalars (centralizer is everything) and regular
-    elements (one invariant factor; commutant = polynomials in the
+    elements (one invariant factor; commutant = F_q[h], polynomials in the
     element, dimension n). For regular g, h the centralizers are conjugate
     iff g is conjugate, with admissible determinant, onto some generator
     of h's commutant; the commutant is walked lazily and ascending, and
-    its elements sharing g's invariant factors are tried in turn. A "no"
+    its elements sharing g's invariant factors are tried in turn.
+
+    In GL the type decides first: elements of different types are not
+    z-equivalent, so the answer is None before any commutant is built,
+    and for one type a generator conjugate to g exists, so the walk is a
+    first-hit walk that stops after SPAN_CAP elements tried. In SL a "no"
     needs the whole commutant, so one with more than SPAN_CAP elements is
     refused before the walk starts.
     """
@@ -276,18 +287,22 @@ def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
         raise ValueError("sl ambient needs determinant-1 elements")
     if g.is_scalar() or h.is_scalar():
         return Mat.identity(g.ctx, g.n) if g.is_scalar() and h.is_scalar() else None
-    target = invariant_factors(g)
-    alg_h = centralizer_algebra(h)
-    if len(target) != 1 or alg_h.dim != h.n:
+    target, facs_h = invariant_factors(g), invariant_factors(h)
+    if len(target) != 1 or len(facs_h) != 1:
         raise ValueError("structural route supports scalar or regular elements only")
-    check_span_size(h.ctx, alg_h.dim)
+    if kind == SL:
+        check_span_size(h.ctx, h.n)
+    elif factors_type(g.ctx, target) != factors_type(h.ctx, facs_h):
+        return None
     tr, dt = g.trace(), g.det()
-    for y in alg_h.walk():
+    for y in polynomial_algebra(h).walk():
         if y.trace() != tr or y.det() != dt or invariant_factors(y) != target:
             continue
         w = _gl_witness(y, g, target) if kind == GL else sl_conjugate_test(y, g)
         if w is not None:
             return w
+    if kind == GL:
+        raise ConsistencyError("no generator of the commutant shares the type's invariant factors")
     return None
 
 
@@ -550,14 +565,23 @@ def _refine(items: Sequence, equiv) -> tuple[tuple[int, ...], ...]:
 def _seed_partition(
     family: FamilySpec, ext: FieldCtx, seeds_up: list[Mat]
 ) -> tuple[tuple[int, ...], ...]:
-    """The seeds' blocks under z-equivalence in the family over ext: by the
-    structural route when the ambient is GL/SL and every seed is scalar or
-    regular, else on the group table within the group-order bound."""
-    if family.kind in (GL, SL) and all(
+    """The seeds' blocks under z-equivalence in the family over ext.
+
+    In GL the type is the z-class key: one block per type, in order of
+    first occurrence, which is the order _refine gives; no pair is tested
+    and no table is built. In SL the structural route tests pairs when
+    every seed is scalar or regular. Otherwise the table route, within the
+    group-order bound."""
+    if family.kind == GL:
+        blocks: dict = {}
+        for i, s in enumerate(seeds_up):
+            blocks.setdefault(factors_type(s.ctx, invariant_factors(s)), []).append(i)
+        return tuple(tuple(b) for b in blocks.values())
+    if family.kind == SL and all(
         s.is_scalar() or len(invariant_factors(s)) == 1 for s in seeds_up
     ):
         return _refine(
-            seeds_up, lambda a, b: structural_z_equivalent(family.kind, a, b) is not None
+            seeds_up, lambda a, b: structural_z_equivalent(SL, a, b) is not None
         )
     order = family_order(family, ext)
     if order <= limits.max_group():

@@ -37,6 +37,8 @@ from zclasskit.matfq import (
     RcfResult,
     _apply,
     _ech_insert,
+    _gl_witness,
+    centralizer_algebra,
     invariant_factors,
     is_semisimple,
     is_unipotent,
@@ -45,6 +47,7 @@ from zclasskit.matfq import (
     poly_of_matrix,
     check_span_size,
     rref,
+    sl_conjugate_test,
     span_walk,
     transporter_space,
 )
@@ -357,3 +360,31 @@ def brute_type(A: Mat) -> tuple[tuple[int, tuple[int, ...]], ...]:
             lam = tuple(sum(1 for c in at_least if c > i) for i in range(at_least[0]))
             out.append((deg, lam))
     return tuple(sorted(out))
+
+
+def pairwise_structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
+    """The structural route before GL answered by type: for regular g, h,
+    h's whole commutant solved as an n^2 x n^2 system and walked ascending,
+    refused up front above SPAN_CAP, trying each element that shares g's
+    invariant factors in turn, in GL as in SL."""
+    if kind not in (GL, SL):
+        raise ValueError(f"structural route supports gl/sl ambients, not {kind!r}")
+    if g.ctx is not h.ctx or g.n != h.n:
+        raise ValueError("elements live in different ambient groups")
+    if kind == SL and (g.det() != 1 or h.det() != 1):
+        raise ValueError("sl ambient needs determinant-1 elements")
+    if g.is_scalar() or h.is_scalar():
+        return Mat.identity(g.ctx, g.n) if g.is_scalar() and h.is_scalar() else None
+    target = invariant_factors(g)
+    alg_h = centralizer_algebra(h)
+    if len(target) != 1 or alg_h.dim != h.n:
+        raise ValueError("structural route supports scalar or regular elements only")
+    check_span_size(h.ctx, alg_h.dim)
+    tr, dt = g.trace(), g.det()
+    for y in alg_h.walk():
+        if y.trace() != tr or y.det() != dt or invariant_factors(y) != target:
+            continue
+        w = _gl_witness(y, g, target) if kind == GL else sl_conjugate_test(y, g)
+        if w is not None:
+            return w
+    return None

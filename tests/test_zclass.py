@@ -369,20 +369,29 @@ def test_structural_scalars():
 
 
 def test_structural_refuses_a_large_commutant_before_walking(monkeypatch):
-    # u is regular unipotent, h has charpoly (x-1)^7 (x-2): no generator of
-    # C(h) has minimal polynomial (x-1)^8, so the answer is "no", and a "no"
-    # needs all 5^8 = 390 625 elements of h's commutant, above SPAN_CAP
+    # u is regular unipotent in dimension 8 over F_5, so its commutant and
+    # that of each h below have 5^8 = 390 625 elements, above SPAN_CAP
     def walked(self):
-        raise AssertionError("the commutant was walked before its size was checked")
+        raise AssertionError("the commutant was walked")
 
     monkeypatch.setattr(TransporterSpace, "walk", walked)
     u = regular_unipotent(8, 1, F5)
-    f = (1,)
-    for root in (1,) * 7 + (2,):
-        f = poly_mul(F5, f, (F5.neg(root), 1))
-    h = Mat.companion(F5, f)
+
+    def companion(roots):
+        f = (1,)
+        for root in roots:
+            f = poly_mul(F5, f, (F5.neg(root), 1))
+        return Mat.companion(F5, f)
+
+    # GL: h has charpoly (x-1)^7 (x-2), another type than u's, so the
+    # answer is an exact "no" with no commutant walked
+    assert structural_z_equivalent(GL, u, companion((1,) * 7 + (2,))) is None
+    # SL: h has charpoly (x-1)^6 (x-2) (x-3) and determinant 1; an SL "no"
+    # needs all of h's commutant, which is refused before the walk
+    h = companion((1,) * 6 + (2, 3))
+    assert h.det() == 1
     with pytest.raises(BoundExceeded) as exc:
-        structural_z_equivalent(GL, u, h)
+        structural_z_equivalent(SL, u, h)
     assert str(exc.value) == "span of 8 vectors over F_5 has 390625 elements, above SPAN_CAP 300000"
 
 
