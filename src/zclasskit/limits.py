@@ -14,13 +14,12 @@ realizing fields to H1_FIELD_CAP. The internal caps below are read as
 limits.NAME at call time; a BoundExceeded names the cap it hit.
 
 SPAN_CAP bounds span walks two ways. A first-hit search whose hit is
-known to exist (the rational form's chains, the SL witness, the GL
-structural witness of a same-type pair) counts the elements it has tried
-(matfq.span_walk), so it succeeds in a span of any size when its hit
-comes early. A caller that needs every element (TransporterSpace.elements,
-the SL structural commutant walk) is refused up front when the span has more than SPAN_CAP elements
-(matfq.check_span_size), and grpcore's commutant units give way to the
-Schreier closure there.
+known to exist (the rational form's chains, the SL witness, the GL and
+SL structural witnesses of a same-type pair) counts the elements it has
+tried (matfq.span_walk), so it succeeds in a span of any size when its
+hit comes early. Only TransporterSpace.elements, which lists every
+element, is refused up front above SPAN_CAP (matfq.check_span_size), and
+grpcore's commutant units give way to the Schreier closure there.
 """
 from __future__ import annotations
 

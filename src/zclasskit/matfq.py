@@ -13,11 +13,9 @@ reduced row echelon form, so every kernel and transporter space walks in
 ascending order and the least element with a property is the first hit.
 Searches walk spans lazily with span_walk. A first-hit search whose hit
 is known to exist (the rational form's chains, the SL witness once the
-determinant test has passed, the GL structural witness of a same-type
-pair) stops at SPAN_CAP elements tried; a caller that needs every element
-(TransporterSpace.elements, the SL structural commutant walk) is refused
-up front by check_span_size when the span has more than SPAN_CAP
-elements.
+determinant test has passed, the structural witness of a same-type pair)
+stops at SPAN_CAP elements tried; TransporterSpace.elements, which lists
+every element, is refused up front by check_span_size above SPAN_CAP.
 
 Canonical-form machinery (charpoly, minpoly, invariant factors, rational
 form) runs through one Smith-normal-form routine over F_q[x]. The
@@ -442,8 +440,7 @@ def _capped_walk(walk, cap: int, message: str):
 
 def check_span_size(ctx: FieldCtx, dim: int) -> None:
     """Refuse, before any work, a span of dim vectors with more than
-    SPAN_CAP elements: the check of a caller that needs every element (a
-    whole listing, or a search whose "no" is known only at the end)."""
+    SPAN_CAP elements: the check of a caller that lists every element."""
     total = ctx.q**dim
     if total > limits.SPAN_CAP:
         raise BoundExceeded(
@@ -654,6 +651,17 @@ def type_exponent(typ) -> int:
     """The gcd e of every part of every lambda_f: det maps C_GL(g) onto the
     e-th powers of F_q^* (finite-field norms are onto)."""
     return math.gcd(*(part for _, lam in typ for part in lam))
+
+
+def det_class(typ, X: Mat) -> int:
+    """det(X) modulo det(N_GL(F_q[g])) for g regular of type typ, as
+    det(X)^((q-1)/gcd(D, q-1)): D = gcd of a (odd) or a/2 (even) over the
+    exponents a of typ, since units give the a-th powers, scaling the
+    radical the a(a-1)/2-th, and Galois twists and factor swaps only signs
+    that are D-th powers or have determinant 1."""
+    q = X.ctx.q
+    D = math.gcd(*(a if a % 2 else a // 2 for _, (a,) in typ))
+    return X.ctx.pow(X.det(), (q - 1) // math.gcd(D, q - 1))
 
 
 def centralizer_order(typ, q: int, special: bool = False) -> int:

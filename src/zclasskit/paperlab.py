@@ -28,6 +28,7 @@ from .grpcore import (
     VirtualGroup,
     centralizer,
     conjugacy_classes,
+    family_order,
     instantiate,
     normalizer,
     parse_element_spec,
@@ -254,8 +255,7 @@ def _run_sl2_unipotent(q: int) -> tuple[object, dict]:
 def _run_sl3_unipotent(q: int, allow_bad_characteristic: bool) -> tuple[object, dict]:
     ctx = parse_field(str(q))
     spec = FamilySpec(SL, 3, allow_bad_characteristic=allow_bad_characteristic)
-    order = q ** 3 * (q ** 2 - 1) * (q ** 3 - 1)
-    if order <= 10_000:
+    if family_order(spec, ctx) <= 10_000:
         table = instantiate(spec, ctx)
         part = z_partition(table, regular_unipotent_filter(ctx, 3))
         rational = sum(b.class_count for b in part.blocks)
@@ -291,6 +291,8 @@ def _run_sln_unipotent_forms(n: int, q: int) -> tuple[object, dict]:
 
 def _run_tori_gln(n: int, q: int) -> tuple[object, dict]:
     ctx = parse_field(str(q))
+    if q <= n:
+        raise ValueError("needs q > n: the split torus of GL_n(F_q) has no regular semisimple element")
     if n == 2:
         table = instantiate(FamilySpec(GL, 2), ctx)
         part = z_partition(table, regular_semisimple_filter(ctx))

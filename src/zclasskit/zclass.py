@@ -17,20 +17,20 @@ and scans; it works for any family within the size bound. The structural
 route works in GL/SL ambients for scalar or regular elements (those with
 one invariant factor, whose commutant algebra has the minimal dimension
 n): there the centralizer is the unit group of the commutant, and
-centralizer conjugacy reduces to element conjugacy onto some generator
-of the other commutant. In GL an element's z-class is fixed by its type
-(the degree and exponent partition of each irreducible factor of its
-characteristic polynomial), so a GL seed partition groups the seeds by
-type, whatever the seeds, and a structural GL pair of different types is
-answered without a walk. In SL one type can hold several z-classes, so
-an SL seed partition tests pairs on the structural route when every seed
-is scalar or regular, and otherwise takes the table route. The routes
-are cross-validated against each other wherever both apply. Growth
-degrees read GL/SL centralizer orders in closed form from the element's
-type.
+centralizer conjugacy reduces to conjugacy of the commutants. An
+element's type (the degree and exponent partition of each irreducible
+factor of its characteristic polynomial) keys its z-class: in GL the type
+is the key, whatever the element, and in SL a regular type splits by a
+determinant class (matfq.det_class). So a structural pair of different
+types is answered without a walk, and a seed partition groups GL seeds,
+and scalar or regular SL seeds, by key; other SL seeds take the table
+route. The routes are cross-validated against each other wherever both
+apply. Growth degrees read GL/SL centralizer orders in closed form from
+the element's type.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -56,7 +56,7 @@ from .matfq import (
     _gl_witness,
     centralizer_order,
     charpoly,
-    check_span_size,
+    det_class,
     factors_type,
     gl_conjugate_test,
     invariant_factors,
@@ -267,17 +267,13 @@ def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
 
     Supported elements: scalars (centralizer is everything) and regular
     elements (one invariant factor; commutant = F_q[h], polynomials in the
-    element, dimension n). For regular g, h the centralizers are conjugate
-    iff g is conjugate, with admissible determinant, onto some generator
-    of h's commutant; the commutant is walked lazily and ascending, and
-    its elements sharing g's invariant factors are tried in turn.
-
-    In GL the type decides first: elements of different types are not
-    z-equivalent, so the answer is None before any commutant is built,
-    and for one type a generator conjugate to g exists, so the walk is a
-    first-hit walk that stops after SPAN_CAP elements tried. In SL a "no"
-    needs the whole commutant, so one with more than SPAN_CAP elements is
-    refused before the walk starts.
+    element, dimension n). Elements of different types are not
+    z-equivalent, so that answer is None before any commutant is built.
+    For one type, a first-hit walk of F_q[h], ascending and stopped after
+    SPAN_CAP elements tried, finds the first y with g's invariant factors,
+    and x = _gl_witness(y, g) maps F_q[g] onto F_q[h]. GL returns x. In SL
+    a determinant-1 conjugator exists iff det_class(type, x) = 1; then the
+    same walk goes on from y to the first one SL-conjugate to g.
     """
     if kind not in (GL, SL):
         raise ValueError(f"structural route supports gl/sl ambients, not {kind!r}")
@@ -290,20 +286,24 @@ def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
     target, facs_h = invariant_factors(g), invariant_factors(h)
     if len(target) != 1 or len(facs_h) != 1:
         raise ValueError("structural route supports scalar or regular elements only")
-    if kind == SL:
-        check_span_size(h.ctx, h.n)
-    elif factors_type(g.ctx, target) != factors_type(h.ctx, facs_h):
+    typ = factors_type(g.ctx, target)
+    if typ != factors_type(h.ctx, facs_h):
         return None
     tr, dt = g.trace(), g.det()
-    for y in polynomial_algebra(h).walk():
-        if y.trace() != tr or y.det() != dt or invariant_factors(y) != target:
-            continue
-        w = _gl_witness(y, g, target) if kind == GL else sl_conjugate_test(y, g)
-        if w is not None:
-            return w
-    if kind == GL:
+    gens = (y for y in polynomial_algebra(h).walk()
+            if y.trace() == tr and y.det() == dt and invariant_factors(y) == target)
+    y = next(gens, None)
+    if y is None:
         raise ConsistencyError("no generator of the commutant shares the type's invariant factors")
-    return None
+    x = _gl_witness(y, g, target)
+    if kind == GL:
+        return x
+    if det_class(typ, x) != 1:
+        return None
+    w = next(filter(None, (sl_conjugate_test(z, g) for z in itertools.chain([y], gens))), None)
+    if w is None:
+        raise ConsistencyError("no generator of the commutant is SL-conjugate to the element")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -567,22 +567,23 @@ def _seed_partition(
 ) -> tuple[tuple[int, ...], ...]:
     """The seeds' blocks under z-equivalence in the family over ext.
 
-    In GL the type is the z-class key: one block per type, in order of
-    first occurrence, which is the order _refine gives; no pair is tested
-    and no table is built. In SL the structural route tests pairs when
-    every seed is scalar or regular. Otherwise the table route, within the
-    group-order bound."""
-    if family.kind == GL:
-        blocks: dict = {}
-        for i, s in enumerate(seeds_up):
-            blocks.setdefault(factors_type(s.ctx, invariant_factors(s)), []).append(i)
-        return tuple(tuple(b) for b in blocks.values())
-    if family.kind == SL and all(
+    GL seeds, and SL seeds that are all scalar or regular, are grouped by
+    key in order of first occurrence (the order _refine gives): the type,
+    and in SL for a regular s also det_class(type, x), x the GL witness
+    from the first seed of s's type to s. No SL pair is tested and no
+    table is built. Otherwise the table route, within ZK_MAX_GROUP."""
+    if family.kind == GL or (family.kind == SL and all(
         s.is_scalar() or len(invariant_factors(s)) == 1 for s in seeds_up
-    ):
-        return _refine(
-            seeds_up, lambda a, b: structural_z_equivalent(SL, a, b) is not None
-        )
+    )):
+        blocks: dict = {}
+        leads: dict = {}
+        for i, s in enumerate(seeds_up):
+            key = factors_type(s.ctx, invariant_factors(s))
+            if family.kind == SL and not s.is_scalar():
+                x = structural_z_equivalent(GL, leads.setdefault(key, s), s)
+                key = (key, det_class(key, x))
+            blocks.setdefault(key, []).append(i)
+        return tuple(tuple(b) for b in blocks.values())
     order = family_order(family, ext)
     if order <= limits.max_group():
         tbl = instantiate(family, ext)

@@ -363,10 +363,11 @@ def brute_type(A: Mat) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 
 def pairwise_structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
-    """The structural route before GL answered by type: for regular g, h,
-    h's whole commutant solved as an n^2 x n^2 system and walked ascending,
-    refused up front above SPAN_CAP, trying each element that shares g's
-    invariant factors in turn, in GL as in SL."""
+    """The structural route before either ambient answered by type (and in
+    SL a determinant class), the oracle of structural_z_equivalent in GL
+    and SL alike: for regular g, h, h's whole commutant solved as an
+    n^2 x n^2 system and walked ascending, refused up front above SPAN_CAP,
+    trying each element that shares g's invariant factors in turn."""
     if kind not in (GL, SL):
         raise ValueError(f"structural route supports gl/sl ambients, not {kind!r}")
     if g.ctx is not h.ctx or g.n != h.n:

@@ -300,6 +300,21 @@ def test_experiment_bad_param_exit_2(capsys):
     assert "unknown experiment" in err
 
 
+@pytest.mark.parametrize("n,q,code", [(2, 2, 2), (3, 3, 2), (2, 3, 0), (3, 4, 0)])
+def test_tori_gln_needs_q_above_n(capsys, n, q, code):
+    # for q <= n the split torus has no regular semisimple element, so the
+    # split-Weyl count does not apply: a usage error, not a failed verdict
+    got, out, err = run(
+        capsys, "experiment", "tori-gln", "--param", f"n={n}", "--param", f"q={q}",
+        "--format", "json", "--no-footer",
+    )
+    assert got == code
+    if code:
+        assert out == "" and "needs q > n" in err
+    else:
+        assert json.loads(out)["verdict"] == "pass"
+
+
 @pytest.mark.parametrize(
     "exp_id,param",
     [
