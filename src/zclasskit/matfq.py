@@ -5,12 +5,13 @@ tuple of n*n element codes. The data tuple doubles as the canonical
 encoding, so tuple comparison of .data is the canonical matrix order.
 
 Linear algebra runs through one rref: inverses above 3x3 reduce [A | I],
-kernels and solves reduce their systems (only the rational form's greedy
-chain pick keeps an incremental echelon). Determinants above 3x3 use forward
-elimination alone, smaller ones closed forms. Spans grow one vector at a
-time through span_step, which fixes their one order; kernel bases are in
-reduced row echelon form, so every kernel and transporter space walks in
-ascending order and the least element with a property is the first hit.
+kernels and solves reduce their systems (Krylov chains and the rational
+form's chain pick keep an incremental echelon). Determinants above 3x3 use
+forward elimination alone, smaller ones closed forms. Spans grow one
+vector at a time through span_step, which fixes their one order; kernel
+bases are in reduced row echelon form, so every kernel and transporter
+space walks in ascending order and the least element with a property is
+the first hit.
 Searches walk spans lazily with span_walk. A first-hit search whose hit
 is known to exist (the rational form's chains, the SL witness once the
 determinant test has passed, the structural witness of a same-type pair)
@@ -18,10 +19,11 @@ stops at SPAN_CAP elements tried; TransporterSpace.elements, which lists
 every element, is refused up front by check_span_size above SPAN_CAP.
 
 Canonical-form machinery (charpoly, minpoly, invariant factors, rational
-form) runs through one Smith-normal-form routine over F_q[x]. The
-rational form keeps, for each factor, the first kernel vector whose
-chain extends the chains before it, and never revisits that pick: a
-cyclic submodule of largest order is a direct summand. An
+form) runs on Krylov chains over F_q: the chain v, Av, ... gives v's
+minimal polynomial, lcms of those give a vector with A's, and its cyclic
+subspace, a direct summand, is split off. The rational form keeps, for
+each factor, the first kernel vector whose chain extends the chains before
+it, and never revisits that pick, by the same direct-summand fact. An
 element's type (the degree and exponent partition of each irreducible
 factor) comes from the invariant factors without factoring them, and
 gives the closed-form centralizer order. Conjugacy tests build on the
@@ -45,17 +47,14 @@ from .ff import (
     FqElem,
     _as_code,
     _embed_code,
-    poly_add,
     poly_deriv,
     poly_divmod,
     poly_gcd,
     poly_is_squarefree,
     poly_mod,
-    poly_monic,
     poly_mul,
     poly_pow_mod,
     poly_sub,
-    poly_trim,
 )
 
 
@@ -450,102 +449,125 @@ def check_span_size(ctx: FieldCtx, dim: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# canonical forms via Smith normal form over F_q[x]
+# invariant factors from Krylov chains over F_q
 
 
-def _char_matrix(A: Mat) -> list[list[tuple[int, ...]]]:
+def _ech_reduce(ctx: FieldCtx, ech, vec) -> list[int]:
+    """vec reduced to zero at every pivot column of the echelon rows."""
+    mul, sub = ctx.mul, ctx.sub
+    v = list(vec)
+    for pcol, row in ech:
+        c = v[pcol]
+        if c:
+            v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
+    return v
+
+
+def _ech_insert(ctx: FieldCtx, ech: list[tuple[int, list[int]]], vec) -> bool:
+    """Reduce vec against the echelon rows in place; True if rank grew."""
+    v = _ech_reduce(ctx, ech, vec)
+    pcol = next((k for k, c in enumerate(v) if c), None)
+    if pcol is None:
+        return False
+    inv = ctx.inv(v[pcol])
+    ech.append((pcol, [ctx.mul(inv, c) for c in v]))
+    return True
+
+
+def _apply(A: Mat, vec: tuple[int, ...]) -> tuple[int, ...]:
+    """A vec, skipping the zero entries of vec."""
+    ctx, n, a = A.ctx, A.n, A.data
+    add, mul = ctx.add, ctx.mul
+    out = [0] * n
+    for j, y in enumerate(vec):
+        if y:
+            out = [add(acc, mul(x, y)) for acc, x in zip(out, a[j::n])]
+    return tuple(out)
+
+
+def _krylov(A: Mat, v) -> tuple[list, tuple[int, ...]]:
+    """The echelon of the chain v, Av, A^2 v, ... and v's minimal polynomial.
+    Past column n each row carries the polynomial in A that maps v onto it,
+    so the first power that reduces to zero reads off the polynomial."""
     ctx, n = A.ctx, A.n
-    P = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = ctx.neg(A.data[i * n + j])
-            if i == j:
-                row.append(poly_trim((c, 1)))
-            else:
-                row.append((c,) if c else ())
-        P.append(row)
-    return P
+    ech, w = [], v
+    for k in itertools.count():
+        r = _ech_reduce(ctx, ech, [*w, *(int(i == k) for i in range(n + 1))])
+        pcol = next((i for i in range(n) if r[i]), None)
+        if pcol is None:
+            return ech, tuple(r[n : n + k + 1])
+        inv = ctx.inv(r[pcol])
+        ech.append((pcol, [ctx.mul(inv, c) for c in r]))
+        w = _apply(A, w)
 
 
-def _smith_diagonal(ctx: FieldCtx, P: list[list[tuple[int, ...]]], n: int):
-    P = [row[:] for row in P]
-    k = 0
-    while k < n:
-        piv = None
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                e = P[i][j]
-                if e and (best is None or len(e) < best):
-                    best = len(e)
-                    piv = (i, j)
-        if piv is None:
+def _poly_apply(A: Mat, f: tuple[int, ...], v) -> tuple[int, ...]:
+    """f(A) v by Horner's rule."""
+    ctx, acc = A.ctx, (0,) * A.n
+    for c in reversed(f):
+        acc = tuple(ctx.add(x, ctx.mul(c, y)) for x, y in zip(_apply(A, acc), v))
+    return acc
+
+
+def _largest_cycle(A: Mat) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A vector whose minimal polynomial is A's, and that polynomial: the
+    lcm of the minimal polynomials of e1, e2, ..., stopped once it has
+    degree n. Split lcm(f, g) = a*b with a | f and b | g coprime, each
+    irreducible going whole to the side of larger exponent: then
+    (f/a)(A) v + (g/b)(A) e_j has minimal polynomial a*b."""
+    ctx, n = A.ctx, A.n
+    v, *others = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    f = _krylov(A, v)[1]
+    for e in others:
+        if len(f) - 1 == n:
             break
-        i0, j0 = piv
-        P[k], P[i0] = P[i0], P[k]
-        for row in P:
-            row[k], row[j0] = row[j0], row[k]
-        pivot = P[k][k]
-        progress = True
-        for i in range(k + 1, n):
-            if P[i][k]:
-                quo, rem = poly_divmod(ctx, P[i][k], pivot)
-                P[i] = [poly_sub(ctx, P[i][c], poly_mul(ctx, quo, P[k][c])) for c in range(n)]
-                if rem:
-                    progress = False
-        for j in range(k + 1, n):
-            if P[k][j]:
-                quo, rem = poly_divmod(ctx, P[k][j], pivot)
-                for i in range(n):
-                    P[i][j] = poly_sub(ctx, P[i][j], poly_mul(ctx, quo, P[i][k]))
-                if rem:
-                    progress = False
-        if not progress:
-            continue
-        if any(P[i][k] for i in range(k + 1, n)) or any(P[k][j] for j in range(k + 1, n)):
-            continue
-        bad = None
-        for i in range(k + 1, n):
-            if any(P[i][j] and poly_mod(ctx, P[i][j], pivot) for j in range(k + 1, n)):
-                bad = i
-                break
-        if bad is not None:
-            P[k] = [poly_add(ctx, P[k][c], P[bad][c]) for c in range(n)]
-            continue
-        P[k][k] = poly_monic(ctx, pivot)
-        k += 1
-    return [P[i][i] for i in range(n)]
+        g = _krylov(A, e)[1]
+        if poly_divmod(ctx, f, g)[1]:
+            a, b = poly_divmod(ctx, f, poly_gcd(ctx, f, g))[0], g
+            while len(d := poly_gcd(ctx, a, b)) > 1:
+                a, b = poly_mul(ctx, a, d), poly_divmod(ctx, b, d)[0]
+            fa, gb = poly_divmod(ctx, f, a)[0], poly_divmod(ctx, g, b)[0]
+            v = tuple(map(ctx.add, _poly_apply(A, fa, v), _poly_apply(A, gb, e)))
+            f = poly_mul(ctx, a, b)
+    return v, f
 
 
-def _snf_diagonal(A: Mat) -> list[tuple[int, ...]]:
-    diag = _smith_diagonal(A.ctx, _char_matrix(A), A.n)
-    total = sum(len(d) - 1 for d in diag)
-    if total != A.n or any(not d for d in diag):
-        raise ConsistencyError("Smith diagonal degrees do not sum to n")
-    for a, b in zip(diag, diag[1:]):
-        if poly_mod(A.ctx, b, a):
-            raise ConsistencyError("Smith diagonal is not divisibility-ordered")
-    return diag
+def invariant_factors(A: Mat) -> tuple[tuple[int, ...], ...]:
+    """Nonconstant invariant factors in divisibility order (last = minpoly),
+    by the Frobenius form over F_q (Giesbrecht 1995; Storjohann 1998): a
+    cyclic subspace whose minimal polynomial is A's is a direct summand,
+    so record that polynomial and go on in the quotient by it, whose basis
+    is the unit vectors off the pivot columns of the subspace's echelon."""
+    ctx = A.ctx
+    facs, M = [], A
+    while True:
+        v, f = _largest_cycle(M)
+        facs.append(f)
+        if len(f) - 1 == M.n:
+            break
+        ech = _krylov(M, v)[0]
+        keep = sorted(set(range(M.n)).difference(pcol for pcol, _ in ech))
+        cols = [_ech_reduce(ctx, ech, M.data[j :: M.n]) for j in keep]
+        M = Mat._trusted(ctx, len(keep), tuple(c[i] for i in keep for c in cols))
+    facs.reverse()
+    if sum(len(f) - 1 for f in facs) != A.n:
+        raise ConsistencyError("invariant factor degrees do not sum to n")
+    if any(poly_mod(ctx, b, a) for a, b in zip(facs, facs[1:])):
+        raise ConsistencyError("invariant factors are not divisibility-ordered")
+    return tuple(facs)
 
 
 def charpoly(A: Mat) -> tuple[int, ...]:
-    """Monic characteristic polynomial, constant term first."""
-    ctx = A.ctx
+    """Monic characteristic polynomial, constant term first: the invariant factors' product."""
     out = (1,)
-    for d in _snf_diagonal(A):
-        out = poly_mul(ctx, out, d)
+    for f in invariant_factors(A):
+        out = poly_mul(A.ctx, out, f)
     return out
 
 
 def minpoly(A: Mat) -> tuple[int, ...]:
     """Monic minimal polynomial (the largest invariant factor)."""
-    return _snf_diagonal(A)[-1]
-
-
-def invariant_factors(A: Mat) -> tuple[tuple[int, ...], ...]:
-    """Nonconstant invariant factors in divisibility order (last = minpoly)."""
-    return tuple(d for d in _snf_diagonal(A) if len(d) >= 2)
+    return invariant_factors(A)[-1]
 
 
 def poly_of_matrix(ctx: FieldCtx, f: tuple[int, ...], A: Mat) -> Mat:
@@ -690,33 +712,6 @@ class RcfResult(NamedTuple):
     transform: Mat
 
 
-def _ech_insert(ctx: FieldCtx, ech: list[tuple[int, list[int]]], vec) -> bool:
-    """Reduce vec against the echelon rows in place; True if rank grew."""
-    v = list(vec)
-    for pcol, row in ech:
-        c = v[pcol]
-        if c:
-            v = [ctx.sub(v[k], ctx.mul(c, row[k])) for k in range(len(v))]
-    pcol = next((k for k, c in enumerate(v) if c), None)
-    if pcol is None:
-        return False
-    inv = ctx.inv(v[pcol])
-    ech.append((pcol, [ctx.mul(inv, c) for c in v]))
-    return True
-
-
-def _apply(A: Mat, vec: tuple[int, ...]) -> tuple[int, ...]:
-    ctx, n = A.ctx, A.n
-    out = []
-    for i in range(n):
-        acc = 0
-        ro = i * n
-        for j in range(n):
-            acc = ctx.add(acc, ctx.mul(A.data[ro + j], vec[j]))
-        out.append(acc)
-    return tuple(out)
-
-
 def rcf(A: Mat, facs=None) -> RcfResult:
     """Rational canonical form and a conjugating transform.
 
@@ -747,7 +742,10 @@ def rcf(A: Mat, facs=None) -> RcfResult:
         offset += d
     form = Mat(ctx, n, data)
 
-    kernels = {f: kernel_basis(ctx, poly_of_matrix(ctx, f, A).rows(), n) for f in set(facs)}
+    # the largest factor is the minimal polynomial: its kernel is all of F_q^n
+    kernels = {f: kernel_basis(ctx, poly_of_matrix(ctx, f, A).rows(), n) for f in set(facs)
+               if f != facs[-1]}
+    kernels[facs[-1]] = Mat.identity(ctx, n).rows()
 
     def chain_of(ech, w, deg: int):
         """(ech grown by the chain w, Aw, ..., A^(deg-1) w, the chain), or

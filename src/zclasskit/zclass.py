@@ -570,18 +570,20 @@ def _seed_partition(
     GL seeds, and SL seeds that are all scalar or regular, are grouped by
     key in order of first occurrence (the order _refine gives): the type,
     and in SL for a regular s also det_class(type, x), x the GL witness
-    from the first seed of s's type to s. No SL pair is tested and no
-    table is built. Otherwise the table route, within ZK_MAX_GROUP."""
+    from the first seed of s's type to s (class 1 for that seed). No SL
+    pair is tested, no table built. Otherwise the table route, within ZK_MAX_GROUP."""
+    facs = [invariant_factors(s) for s in seeds_up]
     if family.kind == GL or (family.kind == SL and all(
-        s.is_scalar() or len(invariant_factors(s)) == 1 for s in seeds_up
+        s.is_scalar() or len(f) == 1 for s, f in zip(seeds_up, facs)
     )):
         blocks: dict = {}
         leads: dict = {}
-        for i, s in enumerate(seeds_up):
-            key = factors_type(s.ctx, invariant_factors(s))
+        for i, (s, f) in enumerate(zip(seeds_up, facs)):
+            key = factors_type(s.ctx, f)
             if family.kind == SL and not s.is_scalar():
-                x = structural_z_equivalent(GL, leads.setdefault(key, s), s)
-                key = (key, det_class(key, x))
+                lead = leads.setdefault(key, s)
+                key = (key, 1 if lead is s else
+                       det_class(key, structural_z_equivalent(GL, lead, s)))
             blocks.setdefault(key, []).append(i)
         return tuple(tuple(b) for b in blocks.values())
     order = family_order(family, ext)

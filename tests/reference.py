@@ -18,10 +18,15 @@ from zclasskit.ff import (
     _embed_code,
     make_field,
     mult_generator,
+    poly_add,
+    poly_divmod,
     poly_gcd,
     poly_mod,
+    poly_monic,
+    poly_mul,
     poly_pow_mod,
     poly_sub,
+    poly_trim,
 )
 from zclasskit.grpcore import (
     DIHEDRAL,
@@ -389,3 +394,90 @@ def pairwise_structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
         if w is not None:
             return w
     return None
+
+
+# ---------------------------------------------------------------------------
+# invariant factors from the Smith normal form of xI - A over F_q[x]: the
+# route matfq took before its Krylov chains over F_q
+
+
+def _char_matrix(A: Mat) -> list[list[tuple[int, ...]]]:
+    ctx, n = A.ctx, A.n
+    P = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            c = ctx.neg(A.data[i * n + j])
+            if i == j:
+                row.append(poly_trim((c, 1)))
+            else:
+                row.append((c,) if c else ())
+        P.append(row)
+    return P
+
+
+def _smith_diagonal(ctx: FieldCtx, P: list[list[tuple[int, ...]]], n: int):
+    P = [row[:] for row in P]
+    k = 0
+    while k < n:
+        piv = None
+        best = None
+        for i in range(k, n):
+            for j in range(k, n):
+                e = P[i][j]
+                if e and (best is None or len(e) < best):
+                    best = len(e)
+                    piv = (i, j)
+        if piv is None:
+            break
+        i0, j0 = piv
+        P[k], P[i0] = P[i0], P[k]
+        for row in P:
+            row[k], row[j0] = row[j0], row[k]
+        pivot = P[k][k]
+        progress = True
+        for i in range(k + 1, n):
+            if P[i][k]:
+                quo, rem = poly_divmod(ctx, P[i][k], pivot)
+                P[i] = [poly_sub(ctx, P[i][c], poly_mul(ctx, quo, P[k][c])) for c in range(n)]
+                if rem:
+                    progress = False
+        for j in range(k + 1, n):
+            if P[k][j]:
+                quo, rem = poly_divmod(ctx, P[k][j], pivot)
+                for i in range(n):
+                    P[i][j] = poly_sub(ctx, P[i][j], poly_mul(ctx, quo, P[i][k]))
+                if rem:
+                    progress = False
+        if not progress:
+            continue
+        if any(P[i][k] for i in range(k + 1, n)) or any(P[k][j] for j in range(k + 1, n)):
+            continue
+        bad = None
+        for i in range(k + 1, n):
+            if any(P[i][j] and poly_mod(ctx, P[i][j], pivot) for j in range(k + 1, n)):
+                bad = i
+                break
+        if bad is not None:
+            P[k] = [poly_add(ctx, P[k][c], P[bad][c]) for c in range(n)]
+            continue
+        P[k][k] = poly_monic(ctx, pivot)
+        k += 1
+    return [P[i][i] for i in range(n)]
+
+
+def _snf_diagonal(A: Mat) -> list[tuple[int, ...]]:
+    diag = _smith_diagonal(A.ctx, _char_matrix(A), A.n)
+    total = sum(len(d) - 1 for d in diag)
+    if total != A.n or any(not d for d in diag):
+        raise ConsistencyError("Smith diagonal degrees do not sum to n")
+    for a, b in zip(diag, diag[1:]):
+        if poly_mod(A.ctx, b, a):
+            raise ConsistencyError("Smith diagonal is not divisibility-ordered")
+    return diag
+
+
+def smith_invariant_factors(A: Mat) -> tuple[tuple[int, ...], ...]:
+    """Nonconstant invariant factors in divisibility order, read off the
+    Smith diagonal of xI - A."""
+    return tuple(d for d in _snf_diagonal(A) if len(d) >= 2)

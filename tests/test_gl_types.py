@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
 
-from reference import monic_irreducibles, pairwise_structural_z_equivalent
+from reference import monic_irreducibles, pairwise_structural_z_equivalent, smith_invariant_factors
 from zclasskit import limits, zclass
 from zclasskit.errors import BoundExceeded
 from zclasskit.ff import make_field, poly_mul
@@ -93,6 +94,7 @@ def test_type_key_partition_is_the_table_route(n, p, m):
     index = {c.rep_id: i for i, c in enumerate(classes)}
     want = tuple(tuple(index[r] for r in b.class_ids) for b in part.blocks)
     reps = [table.mat_of(c.rep_id) for c in classes]
+    assert all(invariant_factors(r) == smith_invariant_factors(r) for r in reps)
     assert zclass._seed_partition(table.family, ctx, reps) == want
     assert part.zclass_count == _type_census(ctx, n) == len({_type(r) for r in reps})
 
@@ -237,6 +239,7 @@ def test_sl_key_partition_is_the_table_route(n, p, m):
     ctx = make_field(p, m)
     table = instantiate(FamilySpec(SL, n, allow_bad_characteristic=True), ctx)
     reps = [table.mat_of(c.rep_id) for c in conjugacy_classes(table)]
+    assert all(invariant_factors(r) == smith_invariant_factors(r) for r in reps)
     seeds = [r for r in reps if r.is_scalar() or len(invariant_factors(r)) == 1]
     want = zclass._refine(seeds, lambda a, b: z_equivalent(table, a, b) is not None)
     assert zclass._seed_partition(table.family, ctx, seeds) == want
@@ -325,3 +328,15 @@ def test_sl_seed_partition_builds_no_table_and_tests_no_sl_pair(monkeypatch):
     monkeypatch.setattr(zclass, "structural_z_equivalent", gl_only)
     res = geometric_stabilize(FamilySpec(SL, 3), F4, seeds, 2)
     assert res.partitions == tuple(want)
+
+
+def test_sl_lead_seed_is_keyed_without_a_walk(monkeypatch):
+    # the first seed of a regular type has determinant class 1 by definition;
+    # walking it against itself took 11.7 s for the regular unipotent of SL8(F5)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lead seed of a type was walked against itself")
+
+    monkeypatch.setattr(zclass, "structural_z_equivalent", refuse)
+    start = time.perf_counter()
+    assert zclass._seed_partition(FamilySpec(SL, 8), F5, [regular_unipotent(8, 1, F5)]) == ((0,),)
+    assert time.perf_counter() - start < 0.1
