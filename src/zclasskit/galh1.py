@@ -360,10 +360,11 @@ def _ord_mod(base: int, mod: int) -> int:
 
 
 def _mu_generator(big: FieldCtx, n: int) -> int:
-    """Code of an element of exact multiplicative order n; least power base."""
+    """Code of an element of exact multiplicative order n; least power base,
+    found early: x^((q-1)/n) has order n for a phi(n)/n share of units x."""
     cof = (big.q - 1) // n
     primes = _factorize(n)
-    for x in range(2, min(big.q, 1 << 20)):
+    for x in range(2, big.q):
         z = big.pow(x, cof)
         if z == 0 or big.pow(z, n) != 1:
             continue

@@ -26,12 +26,13 @@ each factor, the first kernel vector whose chain extends the chains before
 it, and never revisits that pick, by the same direct-summand fact. An
 element's type (the degree and exponent partition of each irreducible
 factor) comes from the invariant factors without factoring them, and
-gives the closed-form centralizer order. Conjugacy tests build on the
+gives the closed-form centralizer order. Conjugacy builds on the
 rational form: GL-conjugacy compares invariant factors, and SL-conjugacy
-adds a determinant test on the rational-form witness, then takes the
-first determinant-1 unit of the transporter space. Deterministic rule
-throughout: when a choice is free, the object with the least canonical
-encoding wins.
+(sl_conjugate) adds a determinant test on the rational-form witness, so
+deciding a pair tries no element. Only a caller that wants the SL
+witness (sl_conjugate_test) walks the transporter space for its first
+determinant-1 unit. Deterministic rule throughout: when a choice is
+free, the object with the least canonical encoding wins.
 """
 from __future__ import annotations
 
@@ -861,35 +862,39 @@ def polynomial_algebra(A: Mat) -> TransporterSpace:
     return TransporterSpace(ctx, n, tuple(Mat._trusted(ctx, n, r) for r in rows))
 
 
-def sl_conjugate_test(A: Mat, B: Mat) -> Mat | None:
-    """Determinant-1 witness X with X B X^-1 = A, or None.
+def sl_conjugate(A: Mat, B: Mat) -> bool:
+    """Whether X B X^-1 = A for some X of determinant 1; no element tried.
 
-    Route: a rational-form witness X0 decides GL-conjugacy. Every other
-    witness is X0 U with U a unit of C(B), and det maps those units onto
-    the e-th powers of F_q^*, e the gcd of every part of every lambda_f in
-    B's type, which is the gcd of the exponents in the squarefree
-    decompositions of B's invariant factors; so a determinant-1
-    witness exists iff det(X0)^((q-1)/gcd(e, q-1)) = 1, and no element is
-    tried when it does not. When it does, the transporter space T(A, B)
-    holds every witness and walks ascending, so its first determinant-1
-    unit is the least witness by canonical encoding; the walk raises
-    BoundExceeded (SPAN_CAP) when that unit is not among the first SPAN_CAP
-    elements. For A == B the witness is the identity, not the least
-    determinant-1 element of C(A).
-    """
+    A rational-form witness X0 decides GL-conjugacy. Every other witness
+    is X0 U with U a unit of C(B), and det maps those units onto the e-th
+    powers of F_q^*, e the gcd of every part of every lambda_f in B's type
+    (of the exponents in the squarefree decompositions of B's invariant
+    factors); so the answer is det(X0)^((q-1)/gcd(e, q-1)) = 1."""
     A._compat(B)
     if A.det() != 1 or B.det() != 1:
         raise ValueError("inputs must have determinant 1")
     if A == B:
-        return Mat.identity(A.ctx, A.n)
+        return True
     facs = invariant_factors(A)
     if invariant_factors(B) != facs:
-        return None
+        return False
     X0 = _gl_witness(A, B, facs)
     ctx = A.ctx
     e = math.gcd(ctx.q - 1, *(i for f in facs for i in _squarefree_parts(ctx, f)))
-    if ctx.pow(X0.det(), (ctx.q - 1) // e) != 1:
+    return ctx.pow(X0.det(), (ctx.q - 1) // e) == 1
+
+
+def sl_conjugate_test(A: Mat, B: Mat) -> Mat | None:
+    """Determinant-1 witness X with X B X^-1 = A, or None, as sl_conjugate
+    decides. On yes, T(A, B) holds every witness and walks ascending, so
+    its first determinant-1 unit is the least witness; the walk raises
+    BoundExceeded (SPAN_CAP) when that unit is not among the first SPAN_CAP
+    elements. For A == B the witness is the identity, not the least
+    determinant-1 element of C(A)."""
+    if not sl_conjugate(A, B):
         return None
+    if A == B:
+        return Mat.identity(A.ctx, A.n)
     X = next(transporter_space(A, B).units(1), None)
     if X is None or X.det() != 1 or X * B != A * X:
         raise ConsistencyError("unit-determinant witness failed verification")

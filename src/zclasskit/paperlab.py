@@ -43,7 +43,7 @@ from .matfq import (
     mat_embed,
     mat_literal,
     regular_unipotent,
-    sl_conjugate_test,
+    sl_conjugate,
 )
 from .zclass import (
     _refine,
@@ -265,9 +265,7 @@ def _run_sl3_unipotent(q: int, allow_bad_characteristic: bool) -> tuple[object, 
         }
         return (rational, part.zclass_count), notes
     mats = [regular_unipotent(3, b, ctx) for b in ctx.units()]
-    rational_blocks = _refine(
-        mats, lambda a, b: sl_conjugate_test(a, b) is not None
-    )
+    rational_blocks = _refine(mats, sl_conjugate)
     z_blocks = _seed_partition(spec, ctx, mats)
     notes = {
         "route": "structural",
@@ -279,9 +277,7 @@ def _run_sl3_unipotent(q: int, allow_bad_characteristic: bool) -> tuple[object, 
 def _run_sln_unipotent_forms(n: int, q: int) -> tuple[object, dict]:
     ctx = parse_field(str(q))
     mats = [regular_unipotent(n, b, ctx) for b in ctx.units()]
-    blocks = _refine(
-        mats, lambda a, b: sl_conjugate_test(a, b) is not None
-    )
+    blocks = _refine(mats, sl_conjugate)
     notes = {
         "candidates": len(mats),
         "reps": [mat_literal(mats[b[0]]) for b in blocks],

@@ -24,9 +24,10 @@ is the key, whatever the element, and in SL a regular type splits by a
 determinant class (matfq.det_class). So a structural pair of different
 types is answered without a walk, and a seed partition groups GL seeds,
 and scalar or regular SL seeds, by key; other SL seeds take the table
-route. The routes are cross-validated against each other wherever both
-apply. Growth degrees read GL/SL centralizer orders in closed form from
-the element's type.
+route. Fusion counts decide GL classes by invariant factors and SL ones
+by matfq.sl_conjugate, with no witness. The routes are cross-validated
+against each other wherever both apply. Growth degrees read GL/SL
+centralizer orders in closed form from the element's type.
 """
 from __future__ import annotations
 
@@ -58,12 +59,13 @@ from .matfq import (
     charpoly,
     det_class,
     factors_type,
-    gl_conjugate_test,
     invariant_factors,
     is_unipotent,
     mat_embed,
     mat_literal,
     polynomial_algebra,
+    regular_unipotent,
+    sl_conjugate,
     sl_conjugate_test,
 )
 
@@ -169,18 +171,10 @@ def unipotent_filter():
 
 
 def regular_unipotent_filter(ctx: FieldCtx, n: int):
-    """Predicate keeping unipotent matrices with full-length Jordan block."""
-    ident = Mat.identity(ctx, n)
-
-    def keep(m: Mat) -> bool:
-        if not is_unipotent(m) or m == ident:
-            return False
-        power = d = m - ident
-        for _ in range(n - 2):
-            power = power * d
-        return any(power.data)
-
-    return _class_function(keep)
+    """Predicate keeping unipotent matrices with full-length Jordan block:
+    those with the invariant factors of a regular unipotent."""
+    target = invariant_factors(regular_unipotent(n, 1, ctx))
+    return _class_function(lambda m: invariant_factors(m) == target)
 
 
 def regular_semisimple_filter(ctx: FieldCtx):
@@ -412,9 +406,10 @@ def fusion_count(
 ) -> FormSet:
     """Count base classes (and base z-classes) fusing into g's extended class.
 
-    GL/SL ambients are decided by matrix conjugacy tests over the extended
-    field, so the extended group is never enumerated; other families fall
-    back to an extended table within the size bound.
+    GL ambients compare invariant factors, which do not depend on the
+    field, and SL ones take sl_conjugate on the embedded pair, so no
+    element is tried; other families fall back to an extended table
+    within the size bound.
     """
     if r < 1:
         raise ValueError("extension degree must be positive")
@@ -424,23 +419,19 @@ def fusion_count(
     g_mat = _as_mat(base, g)
     gid = base.id_of(g_mat)
     g_class = next(c.rep_id for c in classes if gid in c.member_ids)
-    g_up = mat_embed(g_mat, ext)
 
-    fused = []
-    if family.kind in (GL, SL):
-        test = gl_conjugate_test if family.kind == GL else sl_conjugate_test
-        for c in classes:
-            h_up = mat_embed(base.mat_of(c.rep_id), ext)
-            if test(g_up, h_up) is not None:
-                fused.append(c.rep_id)
+    if family.kind == GL:
+        facs = invariant_factors(g_mat)
+        fuses = lambda h: invariant_factors(h) == facs
+    elif family.kind == SL:
+        g_up = mat_embed(g_mat, ext)
+        fuses = lambda h: sl_conjugate(g_up, mat_embed(h, ext))
     else:
         ext_table = instantiate(family, ext)
         owner = _ext_class_lookup(ext_table)
-        target = owner[ext_table.id_of(g_up)]
-        for c in classes:
-            h_up = mat_embed(base.mat_of(c.rep_id), ext)
-            if owner[ext_table.id_of(h_up)] == target:
-                fused.append(c.rep_id)
+        target = owner[ext_table.id_of(mat_embed(g_mat, ext))]
+        fuses = lambda h: owner[ext_table.id_of(mat_embed(h, ext))] == target
+    fused = [c.rep_id for c in classes if fuses(base.mat_of(c.rep_id))]
 
     if g_class not in fused:
         raise ConsistencyError("an element's own class must fuse with itself")
@@ -569,9 +560,12 @@ def _seed_partition(
 
     GL seeds, and SL seeds that are all scalar or regular, are grouped by
     key in order of first occurrence (the order _refine gives): the type,
-    and in SL for a regular s also det_class(type, x), x the GL witness
-    from the first seed of s's type to s (class 1 for that seed). No SL
-    pair is tested, no table built. Otherwise the table route, within ZK_MAX_GROUP."""
+    and in SL for a regular s also det_class(type, x), x any GL conjugator
+    from F_q[lead] onto F_q[s], lead the first seed of s's type:
+    _gl_witness(s, lead) when they share invariant factors (the identity
+    for lead itself), else structural_z_equivalent's walk of F_q[s]. No
+    SL pair is tested, no table built. Otherwise the table route, within
+    ZK_MAX_GROUP."""
     facs = [invariant_factors(s) for s in seeds_up]
     if family.kind == GL or (family.kind == SL and all(
         s.is_scalar() or len(f) == 1 for s, f in zip(seeds_up, facs)
@@ -581,9 +575,9 @@ def _seed_partition(
         for i, (s, f) in enumerate(zip(seeds_up, facs)):
             key = factors_type(s.ctx, f)
             if family.kind == SL and not s.is_scalar():
-                lead = leads.setdefault(key, s)
-                key = (key, 1 if lead is s else
-                       det_class(key, structural_z_equivalent(GL, lead, s)))
+                lead, lead_f = leads.setdefault(key, (s, f))
+                x = _gl_witness(s, lead, f) if f == lead_f else structural_z_equivalent(GL, lead, s)
+                key = (key, det_class(key, x))
             blocks.setdefault(key, []).append(i)
         return tuple(tuple(b) for b in blocks.values())
     order = family_order(family, ext)

@@ -33,8 +33,10 @@ from zclasskit.grpcore import (
     GL,
     SL,
     FamilySpec,
+    GroupTable,
     _additive_basis,
     _transvection,
+    conjugacy_classes,
     dihedral_generators,
 )
 from zclasskit.matfq import (
@@ -44,10 +46,12 @@ from zclasskit.matfq import (
     _ech_insert,
     _gl_witness,
     centralizer_algebra,
+    gl_conjugate_test,
     invariant_factors,
     is_semisimple,
     is_unipotent,
     kernel_basis,
+    mat_embed,
     mat_order,
     poly_of_matrix,
     check_span_size,
@@ -394,6 +398,18 @@ def pairwise_structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
         if w is not None:
             return w
     return None
+
+
+def fusion_by_witness(family: FamilySpec, r: int, g: Mat, table: GroupTable) -> tuple[int, ...]:
+    """The class reps of a GL or SL table fusing with g over F_{q^r}, by the
+    route zclass.fusion_count took before it decided without witnesses:
+    g and each class rep embedded, then gl_conjugate_test or
+    sl_conjugate_test, keeping the reps with a witness."""
+    ext = make_field(table.ctx.p, table.ctx.m * r)
+    test = gl_conjugate_test if family.kind == GL else sl_conjugate_test
+    g_up = mat_embed(g, ext)
+    return tuple(c.rep_id for c in conjugacy_classes(table)
+                 if test(g_up, mat_embed(table.mat_of(c.rep_id), ext)) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 import warnings
 
 import pytest
@@ -22,6 +23,7 @@ from zclasskit.matfq import (
     gl_conjugate_test,
     invariant_factors,
     regular_unipotent,
+    sl_conjugate,
     sl_conjugate_test,
     span_walk,
     transporter_space,
@@ -146,6 +148,7 @@ def test_determinant_test_matches_the_scan(p, m):
                     continue
                 W = sl_conjugate_test(A1, B)
                 assert W == sl_witness_scan(A1, B)
+                assert sl_conjugate(A1, B) == (W is not None)
                 X0 = gl_conjugate_test(A1, B)
                 if X0 is not None and A1 != B:
                     e = type_exponent(_type(B))
@@ -218,6 +221,7 @@ def test_sl4_f5_j2_pairs_get_verdicts():
         B = Y * _j2_pair_element(b2) * Y.inverse()
         assert transporter_space(A, B).dim == 8
         W = sl_conjugate_test(A, B)
+        assert sl_conjugate(A, B) == (W is not None)
         square = F5.mul(b, F5.inv(b2)) in (1, 4)
         assert (W is not None) == square
         if W is not None and A != B:
@@ -225,6 +229,20 @@ def test_sl4_f5_j2_pairs_get_verdicts():
             assert W == _first_det_one_by_coefficients(A, B)
         verdicts.add(square)
     assert verdicts == {True, False}
+
+
+def test_sl4_f7_diagonal_conjugates_are_decided_without_a_walk():
+    # diag(2,2,2,1) has type exponent 1, so every GL-conjugate in SL4(F7) is
+    # SL-conjugate to it; T(A, B) has dimension 10, and its first
+    # determinant-1 unit lies past SPAN_CAP in the ascending walk
+    F7 = make_field(7, 1)
+    A = Mat.diagonal(F7, [2, 2, 2, 1])
+    rng = random.Random(12)
+    pairs = [X * A * X.inverse() for X in (_random_invertible(rng, F7, 4) for _ in range(20))]
+    start = time.perf_counter()
+    assert all(sl_conjugate(A, B) for B in pairs)
+    assert time.perf_counter() - start < 0.5
+    assert all(transporter_space(A, B).dim == 10 for B in pairs)
 
 
 def test_growth_of_an_irreducible_quadratic_is_arithmetic():

@@ -330,6 +330,25 @@ def test_sl_seed_partition_builds_no_table_and_tests_no_sl_pair(monkeypatch):
     assert res.partitions == tuple(want)
 
 
+def test_sl_seeds_sharing_the_leads_factors_are_keyed_without_a_walk(monkeypatch):
+    # u_b and u_b' of SL3(F49) are z-equivalent iff b/b' is a cube, and every
+    # u_b shares u_1's invariant factors: its class comes from the rational
+    # form witness, and no seed walks F_q[s]
+    F49 = make_field(7, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a seed with the lead's invariant factors walked F_q[s]")
+
+    monkeypatch.setattr(zclass, "structural_z_equivalent", refuse)
+    seeds = [regular_unipotent(3, b, F49) for b in F49.units()]
+    cube_classes: dict = {}
+    for i, b in enumerate(F49.units()):
+        cube_classes.setdefault(F49.pow(b, 16), []).append(i)
+    assert len(cube_classes) == 3
+    res = geometric_stabilize(FamilySpec(SL, 3), F49, seeds, 1)
+    assert res.partitions == (tuple(tuple(b) for b in cube_classes.values()),)
+
+
 def test_sl_lead_seed_is_keyed_without_a_walk(monkeypatch):
     # the first seed of a regular type has determinant class 1 by definition;
     # walking it against itself took 11.7 s for the regular unipotent of SL8(F5)

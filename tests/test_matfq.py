@@ -31,6 +31,7 @@ from zclasskit.matfq import (
     rcf,
     regular_unipotent,
     rref,
+    sl_conjugate,
     sl_conjugate_test,
     transporter_space,
 )
@@ -515,6 +516,7 @@ def test_sl_conjugacy_matches_brute_force_sl2_f3():
     for A in reps:
         for B in reps:
             X = sl_conjugate_test(A, B)
+            assert sl_conjugate(A, B) == (X is not None)
             if membership[A] == membership[B]:
                 assert X is not None
                 assert X.det() == 1 and X * B * X.inverse() == A
@@ -590,6 +592,7 @@ def test_sl_witness_matches_coset_route(ctx):
                     B = _random_invertible(rng, ctx, n, det=1)
                 W = sl_conjugate_test(A, B)
                 assert W == _sl_witness_reference(A, B)
+                assert sl_conjugate(A, B) == (W is not None)
                 T = transporter_space(A, B)
                 units = [M for M in T.elements() if M.det() != 0]
                 assert list(T.units()) == units

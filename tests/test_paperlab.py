@@ -86,6 +86,27 @@ def test_pinned_points_pass(exp_id, params, computed):
     assert e.computed == computed
 
 
+@pytest.mark.parametrize(
+    "exp_id,params,computed",
+    [
+        ("sln-unipotent-forms", {"n": 6, "q": 13}, 6),
+        ("sl3-unipotent", {"q": 49}, (3, 3)),
+    ],
+)
+def test_sl_forms_are_decided_without_witnesses(exp_id, params, computed):
+    # the structural routes refine by SL-conjugacy decisions: (6, 13) raised
+    # BoundExceeded after 4.4 s, and q = 49 took 9.4 s, while each walked
+    # transporter spaces for witnesses nobody kept
+    import time
+
+    start = time.perf_counter()
+    e = run_experiment(exp_id, params)
+    elapsed = time.perf_counter() - start
+    assert e.verdict == PASS
+    assert e.computed == computed
+    assert elapsed < 0.5
+
+
 def test_tori_gl3_oracle():
     e = run_experiment("tori-gln", {"n": 3, "q": 5})
     assert e.verdict == PASS

@@ -41,7 +41,7 @@ from zclasskit.zclass import (
     z_partition,
 )
 
-from reference import weil_embed
+from reference import fusion_by_witness, weil_embed
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -153,6 +153,10 @@ def test_builtin_filters_match_plain_lambdas(kind, n, ctx):
         assert _blocks(fast) == _blocks(slow)
         assert fast.zclass_count >= 1
     assert not hasattr(is_unipotent, "class_function")  # the marked filter wraps it
+    # the regular unipotent filter is the power test it replaced
+    ident, regular = Mat.identity(ctx, n), zclass.regular_unipotent_filter(ctx, n)
+    assert all(regular(m) == (is_unipotent(m) and any(((m - ident) ** (n - 1)).data))
+               for m in map(table.mat_of, range(table.order)))
 
 
 def test_partition_bound(monkeypatch):
@@ -482,6 +486,21 @@ def test_fusion_sl3_f4(sl3_f4):
     fs3 = fusion_count(spec, F4, 3, u1, table=sl3_f4)
     assert fs3.class_count == 3
     assert fs3.zclass_count == 3
+
+
+@pytest.mark.parametrize(
+    "kind,n,p", [(SL, 2, 3), (SL, 2, 5), (SL, 2, 7), (SL, 3, 2), (GL, 2, 3), (GL, 2, 5)]
+)
+def test_fusion_count_matches_the_witness_route(kind, n, p):
+    # GL by invariant factors and SL by the determinant test, against the
+    # embedded witness searches they replace
+    ctx, spec = make_field(p, 1), FamilySpec(kind, n)
+    table = instantiate(spec, ctx)
+    for c in conjugacy_classes(table):
+        g = table.mat_of(c.rep_id)
+        for r in (2, 3):
+            fs = fusion_count(spec, ctx, r, g, table=table)
+            assert fs.fused_class_reps == fusion_by_witness(spec, r, g, table)
 
 
 def test_fusion_table_route_borel():
