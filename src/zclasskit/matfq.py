@@ -19,20 +19,21 @@ stops at SPAN_CAP elements tried; TransporterSpace.elements, which lists
 every element, is refused up front by check_span_size above SPAN_CAP.
 
 Canonical-form machinery (charpoly, minpoly, invariant factors, rational
-form) runs on Krylov chains over F_q: the chain v, Av, ... gives v's
-minimal polynomial, lcms of those give a vector with A's, and its cyclic
-subspace, a direct summand, is split off. The rational form keeps, for
-each factor, the first kernel vector whose chain extends the chains before
-it, and never revisits that pick, by the same direct-summand fact. An
-element's type (the degree and exponent partition of each irreducible
-factor) comes from the invariant factors without factoring them, and
-gives the closed-form centralizer order. Conjugacy builds on the
-rational form: GL-conjugacy compares invariant factors, and SL-conjugacy
-(sl_conjugate) adds a determinant test on the rational-form witness, so
-deciding a pair tries no element. Only a caller that wants the SL
-witness (sl_conjugate_test) walks the transporter space for its first
-determinant-1 unit. Deterministic rule throughout: when a choice is
-free, the object with the least canonical encoding wins.
+form) runs on Krylov chains over F_q, and a matrix's invariant factors and
+rational form are computed once per matrix and kept on it. The chain v,
+Av, ... gives v's minimal polynomial, lcms of those give a vector with
+A's, and its cyclic subspace, a direct summand, is split off. The rational
+form keeps, for each factor, the first kernel vector whose chain extends
+the chains before it, and never revisits that pick, by the same
+direct-summand fact. An element's type (the degree and exponent partition
+of each irreducible factor) comes from the invariant factors without
+factoring them, and gives the closed-form centralizer order. Conjugacy
+builds on the rational form: GL-conjugacy compares invariant factors, and
+SL-conjugacy (sl_conjugate) adds a determinant test on the rational-form
+witness, so deciding a pair tries no element. Only a caller that wants the
+SL witness (sl_conjugate_test) walks the transporter space for its first
+determinant-1 unit. Deterministic rule throughout: when a choice is free,
+the object with the least canonical encoding wins.
 """
 from __future__ import annotations
 
@@ -62,7 +63,8 @@ from .ff import (
 class Mat:
     """Immutable n x n matrix over a field context; entries are codes."""
 
-    __slots__ = ("ctx", "n", "data", "_hash")
+    # _canon: (invariant factors, rational form or None); four slots keep a Mat at 48 bytes
+    __slots__ = ("ctx", "n", "data", "_canon")
 
     def __init__(self, ctx: FieldCtx, n: int, data):
         self.ctx = ctx
@@ -71,7 +73,7 @@ class Mat:
         if len(tup) != n * n:
             raise ValueError(f"need {n * n} entries, got {len(tup)}")
         self.data = tup
-        self._hash = None
+        self._canon = None
 
     # -- constructors -------------------------------------------------------
 
@@ -79,7 +81,7 @@ class Mat:
     def _trusted(cls, ctx: FieldCtx, n: int, data: tuple[int, ...]) -> "Mat":
         """Wrap n*n codes already valid in ctx, skipping the per-entry check."""
         m = cls.__new__(cls)
-        m.ctx, m.n, m.data, m._hash = ctx, n, data, None
+        m.ctx, m.n, m.data, m._canon = ctx, n, data, None
         return m
 
     @classmethod
@@ -132,11 +134,7 @@ class Mat:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.ctx.q, self.n, self.data))
-            self._hash = h
-        return h
+        return hash((self.ctx.q, self.n, self.data))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -407,10 +405,15 @@ def kernel_basis(ctx: FieldCtx, rows, ncols: int) -> list[tuple[int, ...]]:
 
 def span_step(ctx: FieldCtx, span, vec) -> Iterator[tuple[int, ...]]:
     """The span grown by vec, walked lazily as s + c*vec for s in span, then
-    c in F_q: the one listing order of every span."""
+    c in F_q: the one listing order of every span. Each c*vec is built the
+    first time the walk reaches it, on the first s, and kept for the rest."""
     add, mul = ctx.add, ctx.mul
-    mults = [tuple([mul(c, x) for x in vec]) for c in ctx.elements()]
-    return (tuple(map(add, s, t)) for s in span for t in mults)
+    span, mults = iter(span), []
+    s = next(span)
+    for c in ctx.elements():
+        mults.append(tuple([mul(c, x) for x in vec]))
+        yield tuple(map(add, s, mults[-1]))
+    yield from (tuple(map(add, s, t)) for s in span for t in mults)
 
 
 def span_walk(ctx: FieldCtx, basis, width: int) -> Iterator[tuple[int, ...]]:
@@ -535,10 +538,12 @@ def _largest_cycle(A: Mat) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def invariant_factors(A: Mat) -> tuple[tuple[int, ...], ...]:
     """Nonconstant invariant factors in divisibility order (last = minpoly),
-    by the Frobenius form over F_q (Giesbrecht 1995; Storjohann 1998): a
-    cyclic subspace whose minimal polynomial is A's is a direct summand,
-    so record that polynomial and go on in the quotient by it, whose basis
-    is the unit vectors off the pivot columns of the subspace's echelon."""
+    kept on A, by the Frobenius form over F_q (Giesbrecht 1995; Storjohann
+    1998): a cyclic subspace whose minimal polynomial is A's is a direct
+    summand, so record that polynomial and go on in the quotient by it, whose
+    basis is the unit vectors off the pivot columns of the subspace's echelon."""
+    if A._canon is not None:
+        return A._canon[0]
     ctx = A.ctx
     facs, M = [], A
     while True:
@@ -555,7 +560,8 @@ def invariant_factors(A: Mat) -> tuple[tuple[int, ...], ...]:
         raise ConsistencyError("invariant factor degrees do not sum to n")
     if any(poly_mod(ctx, b, a) for a, b in zip(facs, facs[1:])):
         raise ConsistencyError("invariant factors are not divisibility-ordered")
-    return tuple(facs)
+    A._canon = (tuple(facs), None)
+    return A._canon[0]
 
 
 def charpoly(A: Mat) -> tuple[int, ...]:
@@ -713,8 +719,8 @@ class RcfResult(NamedTuple):
     transform: Mat
 
 
-def rcf(A: Mat, facs=None) -> RcfResult:
-    """Rational canonical form and a conjugating transform.
+def rcf(A: Mat) -> RcfResult:
+    """Rational canonical form and a conjugating transform, kept on A.
 
     form is block-diagonal with companion blocks of the invariant factors
     in divisibility order; transform * A * transform^-1 = form. The
@@ -726,21 +732,17 @@ def rcf(A: Mat, facs=None) -> RcfResult:
     so far span a direct summand M whose complement C has the remaining
     factors, the new chain is independent of M, so the projection of its
     cyclic module into C is cyclic of C's largest order, and a cyclic
-    submodule of largest order is a direct summand. facs, when given,
-    are A's invariant factors.
+    submodule of largest order is a direct summand.
     """
-    ctx, n = A.ctx, A.n
-    if facs is None:
-        facs = invariant_factors(A)
-    data = [0] * (n * n)
-    offset = 0
+    ctx, n, facs = A.ctx, A.n, invariant_factors(A)
+    if A._canon[1] is not None:
+        return A._canon[1]
+    data, offset = [0] * (n * n), 0
     for f in facs:
-        B = Mat.companion(ctx, f)
-        d = B.n
-        for i in range(d):
-            for j in range(d):
-                data[(offset + i) * n + (offset + j)] = B.data[i * d + j]
-        offset += d
+        C = Mat.companion(ctx, f)
+        for i, row in enumerate(C.rows(), offset):
+            data[i * n + offset : i * n + offset + C.n] = row
+        offset += C.n
     form = Mat(ctx, n, data)
 
     # the largest factor is the minimal polynomial: its kernel is all of F_q^n
@@ -773,7 +775,8 @@ def rcf(A: Mat, facs=None) -> RcfResult:
     transform = Y.inverse()
     if transform * A * Y != form:
         raise ConsistencyError("rational-form transform failed verification")
-    return RcfResult(form, transform)
+    A._canon = (facs, RcfResult(form, transform))
+    return A._canon[1]
 
 
 def gl_conjugate_test(A: Mat, B: Mat) -> Mat | None:
@@ -781,14 +784,13 @@ def gl_conjugate_test(A: Mat, B: Mat) -> Mat | None:
     A._compat(B)
     if A == B:
         return Mat.identity(A.ctx, A.n)
-    facs = invariant_factors(A)
-    return _gl_witness(A, B, facs) if invariant_factors(B) == facs else None
+    return _gl_witness(A, B) if invariant_factors(A) == invariant_factors(B) else None
 
 
-def _gl_witness(A: Mat, B: Mat, facs) -> Mat:
+def _gl_witness(A: Mat, B: Mat) -> Mat:
     """The rational-form witness X with X B X^-1 = A, for A and B that
-    share the invariant factors facs."""
-    X = rcf(A, facs).transform.inverse() * rcf(B, facs).transform
+    share their invariant factors."""
+    X = rcf(A).transform.inverse() * rcf(B).transform
     if X * B != A * X:
         raise ConsistencyError("conjugacy witness failed verification")
     return X
@@ -878,8 +880,7 @@ def sl_conjugate(A: Mat, B: Mat) -> bool:
     facs = invariant_factors(A)
     if invariant_factors(B) != facs:
         return False
-    X0 = _gl_witness(A, B, facs)
-    ctx = A.ctx
+    ctx, X0 = A.ctx, _gl_witness(A, B)
     e = math.gcd(ctx.q - 1, *(i for f in facs for i in _squarefree_parts(ctx, f)))
     return ctx.pow(X0.det(), (ctx.q - 1) // e) == 1
 
@@ -912,12 +913,8 @@ def regular_unipotent(n: int, lead, ctx: FieldCtx) -> Mat:
         raise ValueError("leading superdiagonal entry must be nonzero")
     if n < 2:
         raise ValueError("need n >= 2")
-    data = [0] * (n * n)
-    for i in range(n):
-        data[i * n + i] = 1
+    data = [int(j in (i, i + 1)) for i in range(n) for j in range(n)]
     data[1] = c
-    for i in range(1, n - 1):
-        data[i * n + (i + 1)] = 1
     return Mat(ctx, n, data)
 
 

@@ -44,6 +44,7 @@ from .grpcore import (
     FamilySpec,
     GroupTable,
     Subgroup,
+    _check_guard,
     center,
     centralizer,
     conjugacy_classes,
@@ -267,7 +268,8 @@ def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
     SPAN_CAP elements tried, finds the first y with g's invariant factors,
     and x = _gl_witness(y, g) maps F_q[g] onto F_q[h]. GL returns x. In SL
     a determinant-1 conjugator exists iff det_class(type, x) = 1; then the
-    same walk goes on from y to the first one SL-conjugate to g.
+    same walk goes on from y to the first one SL-conjugate to g. The
+    canonical forms of g and each y are computed once and kept on them.
     """
     if kind not in (GL, SL):
         raise ValueError(f"structural route supports gl/sl ambients, not {kind!r}")
@@ -289,7 +291,7 @@ def structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
     y = next(gens, None)
     if y is None:
         raise ConsistencyError("no generator of the commutant shares the type's invariant factors")
-    x = _gl_witness(y, g, target)
+    x = _gl_witness(y, g)
     if kind == GL:
         return x
     if det_class(typ, x) != 1:
@@ -421,8 +423,7 @@ def fusion_count(
     g_class = next(c.rep_id for c in classes if gid in c.member_ids)
 
     if family.kind == GL:
-        facs = invariant_factors(g_mat)
-        fuses = lambda h: invariant_factors(h) == facs
+        fuses = lambda h: invariant_factors(h) == invariant_factors(g_mat)
     elif family.kind == SL:
         g_up = mat_embed(g_mat, ext)
         fuses = lambda h: sl_conjugate(g_up, mat_embed(h, ext))
@@ -559,24 +560,25 @@ def _seed_partition(
     """The seeds' blocks under z-equivalence in the family over ext.
 
     GL seeds, and SL seeds that are all scalar or regular, are grouped by
-    key in order of first occurrence (the order _refine gives): the type,
-    and in SL for a regular s also det_class(type, x), x any GL conjugator
-    from F_q[lead] onto F_q[s], lead the first seed of s's type:
-    _gl_witness(s, lead) when they share invariant factors (the identity
-    for lead itself), else structural_z_equivalent's walk of F_q[s]. No
-    SL pair is tested, no table built. Otherwise the table route, within
+    key in order of first occurrence (the order _refine gives), under
+    instantiate's characteristic guard: the type, and in SL for a regular s
+    also det_class(type, x), x any GL conjugator from F_q[lead] onto F_q[s],
+    lead the first seed of s's type: the rational-form witness
+    _gl_witness(s, lead) when their invariant factors (kept on each seed)
+    agree, else the walk of F_q[s] in structural_z_equivalent. No SL pair
+    is tested, no table built. Otherwise the table route, within
     ZK_MAX_GROUP."""
-    facs = [invariant_factors(s) for s in seeds_up]
     if family.kind == GL or (family.kind == SL and all(
-        s.is_scalar() or len(f) == 1 for s, f in zip(seeds_up, facs)
+        s.is_scalar() or len(invariant_factors(s)) == 1 for s in seeds_up
     )):
-        blocks: dict = {}
-        leads: dict = {}
-        for i, (s, f) in enumerate(zip(seeds_up, facs)):
-            key = factors_type(s.ctx, f)
+        _check_guard(family, ext)
+        blocks, leads = {}, {}
+        for i, s in enumerate(seeds_up):
+            key = factors_type(s.ctx, invariant_factors(s))
             if family.kind == SL and not s.is_scalar():
-                lead, lead_f = leads.setdefault(key, (s, f))
-                x = _gl_witness(s, lead, f) if f == lead_f else structural_z_equivalent(GL, lead, s)
+                lead = leads.setdefault(key, s)
+                same = invariant_factors(s) == invariant_factors(lead)
+                x = _gl_witness(s, lead) if same else structural_z_equivalent(GL, lead, s)
                 key = (key, det_class(key, x))
             blocks.setdefault(key, []).append(i)
         return tuple(tuple(b) for b in blocks.values())

@@ -394,7 +394,7 @@ def pairwise_structural_z_equivalent(kind: str, g: Mat, h: Mat) -> Mat | None:
     for y in alg_h.walk():
         if y.trace() != tr or y.det() != dt or invariant_factors(y) != target:
             continue
-        w = _gl_witness(y, g, target) if kind == GL else sl_conjugate_test(y, g)
+        w = _gl_witness(y, g) if kind == GL else sl_conjugate_test(y, g)
         if w is not None:
             return w
     return None

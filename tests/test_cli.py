@@ -439,6 +439,19 @@ def test_bad_characteristic_flag(capsys):
     assert json.loads(out)["zclass_count"] == 3
 
 
+def test_bad_characteristic_on_the_keyed_seed_route(capsys):
+    # sl3-unipotent at q = 9 partitions its seeds by key, with no table
+    code, _, err = run(capsys, "experiment", "sl3-unipotent", "--param", "q=9")
+    assert code == 2
+    assert "characteristic 3 divides n = 3" in err
+    with pytest.warns(UserWarning):
+        code, out, _ = run(capsys, "experiment", "sl3-unipotent", "--param", "q=9",
+                           "--param", "allow_bad_characteristic=true", "--format", "json",
+                           "--no-footer")
+    assert code == 0
+    assert json.loads(out)["computed"] == [1, 1]
+
+
 def test_usage_exit_codes(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

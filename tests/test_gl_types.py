@@ -13,7 +13,7 @@ import pytest
 
 from reference import monic_irreducibles, pairwise_structural_z_equivalent, smith_invariant_factors
 from zclasskit import limits, zclass
-from zclasskit.errors import BoundExceeded
+from zclasskit.errors import BadCharacteristic, BoundExceeded
 from zclasskit.ff import make_field, poly_mul
 from zclasskit.grpcore import GL, SL, FamilySpec, conjugacy_classes, family_order, instantiate
 from zclasskit.matfq import (
@@ -359,3 +359,15 @@ def test_sl_lead_seed_is_keyed_without_a_walk(monkeypatch):
     start = time.perf_counter()
     assert zclass._seed_partition(FamilySpec(SL, 8), F5, [regular_unipotent(8, 1, F5)]) == ((0,),)
     assert time.perf_counter() - start < 0.1
+
+
+def test_sl_seed_partition_applies_the_characteristic_guard():
+    # the keyed route builds no table, so it checks p | n itself, once
+    F3 = make_field(3, 1)
+    with pytest.raises(BadCharacteristic):
+        geometric_stabilize(FamilySpec(SL, 3), F3, [regular_unipotent(3, 1, F3)], 1)
+    with pytest.warns(UserWarning) as record:
+        res = geometric_stabilize(FamilySpec(SL, 3, allow_bad_characteristic=True), F3,
+                                  [regular_unipotent(3, 1, F3)], 1)
+    assert res.partitions == (((0,),),)
+    assert len(record) == 1

@@ -141,3 +141,14 @@ def test_rcf_transform_is_the_all_kernels_route():
             A = X * _frobenius_block(ctx, chain) * X.inverse()
             facs = smith_invariant_factors(A)
             assert rcf(A).transform == rcf_backtracking(A, facs).transform
+
+
+def test_canonical_forms_are_computed_once_and_kept_on_the_matrix():
+    for ctx in FIELDS:
+        for _, A in _seeded_noncyclic(ctx, 10, ctx.q):
+            facs, form = invariant_factors(A), rcf(A)
+            assert invariant_factors(A) is facs
+            assert rcf(A) is form
+            fresh = Mat(ctx, A.n, A.data)
+            assert rcf(fresh) == form
+            assert invariant_factors(fresh) == facs

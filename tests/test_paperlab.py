@@ -276,3 +276,41 @@ def test_full_suite_digest(capsys):
 def test_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         verify_suite("nightly")
+
+
+def test_sl3_unipotent_builds_one_canonical_form_per_seed(monkeypatch):
+    # 78 seeds at q = 79: each rational form and each set of invariant
+    # factors is computed once and kept on its matrix (462 rational forms and
+    # 384 invariant-factor runs before)
+    from zclasskit import matfq
+
+    counts = {"forms": 0, "cycles": 0}
+    result, largest_cycle = matfq.RcfResult, matfq._largest_cycle
+
+    def counted_form(*args):
+        counts["forms"] += 1
+        return result(*args)
+
+    def counted_cycle(A):
+        counts["cycles"] += 1
+        return largest_cycle(A)
+
+    monkeypatch.setattr(matfq, "RcfResult", counted_form)
+    monkeypatch.setattr(matfq, "_largest_cycle", counted_cycle)
+    e = run_experiment("sl3-unipotent", {"q": 79})
+    assert e.verdict == PASS
+    assert e.computed == (3, 3)
+    assert counts["forms"] <= 79
+    assert counts["cycles"] <= 79
+
+
+def test_sl3_unipotent_keyed_route_applies_the_characteristic_guard():
+    # q = 9 and q = 27 take the keyed seed partition, not a table: it checks
+    # p | n as instantiate does for q = 3
+    for q in (9, 27):
+        with pytest.raises(BadCharacteristic):
+            run_experiment("sl3-unipotent", {"q": q})
+    with pytest.warns(UserWarning, match="characteristic 3 divides n = 3"):
+        e = run_experiment("sl3-unipotent", {"q": 9, "allow_bad_characteristic": True})
+    assert e.verdict == PASS
+    assert e.computed == (1, 1)
