@@ -154,15 +154,38 @@ def poly_eval(ctx: "FieldCtx", f: tuple[int, ...], a: int) -> int:
     return acc
 
 
-def poly_roots(ctx: "FieldCtx", f: tuple[int, ...]):
-    """The roots of f in the field, lazily in ascending code order: a scan
-    of the field, refused above SEARCH_CAP before it starts."""
-    if ctx.q > limits.SEARCH_CAP:
-        raise BoundExceeded(
-            f"root search in F_{ctx.name} (order {ctx.q}) exceeds "
-            f"SEARCH_CAP {limits.SEARCH_CAP}"
-        )
-    return (a for a in range(ctx.q) if poly_eval(ctx, f, a) == 0)
+def poly_roots(ctx: "FieldCtx", f: tuple[int, ...]) -> list[int]:
+    """The distinct roots of a nonzero f in ascending code order, with f evaluated
+    at no element: gcd(f, x^q - x) is the product of f's distinct linear factors,
+    and equal-degree splitting (Cantor and Zassenhaus, Math. Comp. 36, 1981) parts it."""
+    x = (0, 1)
+    todo = [poly_gcd(ctx, f, poly_sub(ctx, poly_pow_mod(ctx, x, ctx.q, f), x))]
+    roots = []
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            roots.append(ctx.neg(g[0]))
+        elif len(g) > 2:
+            gcds = (poly_gcd(ctx, g, s) for s in _splitters(ctx, g))
+            h = next(h for h in gcds if 1 < len(h) < len(g))
+            todo += [h, poly_divmod(ctx, g, h)[0]]
+    return sorted(roots)
+
+
+def _splitters(ctx: "FieldCtx", g: tuple[int, ...]):
+    """Polynomials mod g, a product of >= 2 distinct linear factors, one of
+    which has a proper gcd with g. p = 2: Tr(a*x) for a = theta^k (codes 2^k),
+    a basis, so some a separates two roots. Odd q: (x + a)^((q-1)/2) - 1."""
+    if ctx.p == 2:
+        for k in range(ctx.m):
+            t = acc = poly_mod(ctx, (0, 1 << k), g)
+            for _ in range(ctx.m - 1):
+                t = poly_mod(ctx, poly_mul(ctx, t, t), g)
+                acc = poly_add(ctx, acc, t)
+            yield acc
+    else:
+        for a in range(ctx.q):
+            yield poly_sub(ctx, poly_pow_mod(ctx, (a, 1), ctx.q // 2, g), (1,))
 
 
 def poly_deriv(ctx: "FieldCtx", f: tuple[int, ...]) -> tuple[int, ...]:
@@ -678,16 +701,9 @@ def _as_code(ctx: FieldCtx, x) -> int:
 def _embedding_root(src: FieldCtx, dst: FieldCtx) -> int:
     if src.m == 1:
         return 0
-    rho0 = next(poly_roots(dst, src.modulus), None)
-    if rho0 is None:
-        raise ConsistencyError(f"modulus of F_{src.name} has no root in F_{dst.name}")
-    roots = []
-    r = rho0
-    for _ in range(src.m):
-        roots.append(r)
-        r = dst.pow(r, dst.p)
-    if len(set(roots)) != src.m:
-        raise ConsistencyError("Frobenius orbit of a root is too small")
+    roots = poly_roots(dst, src.modulus)
+    if len(roots) != src.m:
+        raise ConsistencyError(f"modulus of F_{src.name} has {len(roots)} roots in F_{dst.name}")
     # keep only roots compatible with the canonical embedding of every
     # proper subfield, so embedding triangles commute
     constraints = []
@@ -699,18 +715,10 @@ def _embedding_root(src: FieldCtx, dst: FieldCtx) -> int:
         via_src = _embed_code(sub, src, theta)
         direct = _embed_code(sub, dst, theta)
         constraints.append((src.coeffs(via_src), direct))
-    best = None
-    for rho in sorted(roots):
-        ok = all(
-            poly_eval(dst, poly_trim(rep), rho) == expected
-            for rep, expected in constraints
-        )
-        if ok:
-            best = rho
-            break
-    if best is None:
-        raise ConsistencyError("no subfield-compatible embedding root")
-    return best
+    for rho in roots:
+        if all(poly_eval(dst, poly_trim(rep), rho) == expected for rep, expected in constraints):
+            return rho
+    raise ConsistencyError("no subfield-compatible embedding root")
 
 
 def _embed_code(src: FieldCtx, dst: FieldCtx, code: int) -> int:

@@ -22,7 +22,6 @@ twisted classes are orbits walked under a -> g^-1 * a * F(g).
 """
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -491,7 +490,7 @@ def diagonalizer_over_ext(g: Mat, ext: FieldCtx) -> Mat:
         raise ValueError("eigenbasis construction is for 2x2 matrices")
     g_up = mat_embed(g, ext)
     f_up = tuple(embed(g.ctx, ext, c).code for c in charpoly(g))
-    roots = list(itertools.islice(poly_roots(ext, f_up), 2))
+    roots = poly_roots(ext, f_up)
     if len(roots) != 2:
         raise ValueError("characteristic polynomial does not split with two roots")
     D = Mat.diagonal(ext, roots)

@@ -29,7 +29,6 @@ from contextvars import ContextVar
 DEFAULT_MAX_GROUP = 2_000_000
 DEFAULT_MAX_FIELD = 2**20
 
-SEARCH_CAP = 4_000_000  # largest field ff.poly_roots scans for roots
 FULL_TABLE_LIMIT = 100_000  # largest group z_partition partitions whole
 H1_FIELD_CAP = 2**62  # largest field h1_mu_n builds to realize roots of unity
 SPAN_CAP = 300_000  # most elements a first-hit span walk tries; largest span walked whole

@@ -435,6 +435,8 @@ def _run_h1_triple(max_n: int, qs: tuple[int, ...]) -> tuple[object, dict]:
         for n in range(1, max_n + 1)
         for q in qs
     }
+    if not computed:
+        raise ValueError(f"the grid max_n={max_n}, qs={qs} has no point")
     notes = {"points": len(computed)}
     return computed, notes
 

@@ -16,10 +16,12 @@ from zclasskit.ff import (
     FqElem,
     _as_code,
     _embed_code,
+    _field,
     make_field,
     mult_generator,
     poly_add,
     poly_divmod,
+    poly_eval,
     poly_gcd,
     poly_mod,
     poly_monic,
@@ -337,6 +339,43 @@ def irreducible_by_pow_mod(prime_ctx: FieldCtx, f: tuple[int, ...]) -> bool:
         if g != (1,):
             return False
     return True
+
+
+def _scan(ctx: FieldCtx, f: tuple[int, ...]):
+    return (a for a in range(ctx.q) if poly_eval(ctx, f, a) == 0)
+
+
+def roots_by_scan(ctx: FieldCtx, f: tuple[int, ...]) -> list[int]:
+    """ff.poly_roots before equal-degree splitting: f evaluated at every
+    element of the field, the roots kept in ascending code order."""
+    return list(_scan(ctx, f))
+
+
+@lru_cache(maxsize=None)
+def embedding_root_by_scan(src: FieldCtx, dst: FieldCtx) -> int:
+    """ff._embedding_root before equal-degree splitting: the first root of
+    src's modulus in dst by a scan, its Frobenius orbit, and the least root of
+    the orbit that restricts to this oracle's embedding on every proper
+    subfield of src."""
+    if src.m == 1:
+        return 0
+    r = next(_scan(dst, src.modulus))
+    roots = []
+    for _ in range(src.m):
+        roots.append(r)
+        r = dst.pow(r, dst.p)
+    if len(set(roots)) != src.m:
+        raise ConsistencyError("Frobenius orbit of a root is too small")
+    # the residue class theta of x in a subfield embeds as the subfield's root
+    subfields = [_field(src.p, d) for d in range(2, src.m) if src.m % d == 0]
+    constraints = [
+        (poly_trim(src.coeffs(embedding_root_by_scan(sub, src))), embedding_root_by_scan(sub, dst))
+        for sub in subfields
+    ]
+    for rho in sorted(roots):
+        if all(poly_eval(dst, rep, rho) == expected for rep, expected in constraints):
+            return rho
+    raise ConsistencyError("no subfield-compatible embedding root")
 
 
 def monic_irreducibles(ctx: FieldCtx, top: int) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -331,6 +332,12 @@ def test_experiment_mistyped_param_exit_2(capsys, exp_id, param):
     assert f"parameter {param.split('=')[0]!r}" in err
 
 
+def test_experiment_empty_h1_grid_exit_2(capsys):
+    code, out, err = run(capsys, "experiment", "h1-triple", "--param", "max_n=0", "--no-footer")
+    assert code == 2
+    assert out == "" and "has no point" in err and "Traceback" not in err
+
+
 def test_experiment_single_int_tuple_param(capsys):
     code, out, _ = run(
         capsys, "experiment", "h1-triple", "--param", "qs=4", "--param", "max_n=2",
@@ -479,6 +486,19 @@ def test_readme_examples_golden(capsys, name, fmt):
     assert code == 0
     with open(GOLDEN / f"{name}.{fmt}", newline="") as fh:
         assert out == fh.read()
+
+
+def test_readme_limits_row_names_every_cap():
+    # the row's backticked upper-case names, less the ZK_* variables, are
+    # the integer constants of limits other than the DEFAULT_* values
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    row, = (line for line in readme.splitlines() if line.startswith("| `zclasskit.limits` |"))
+    named = {name for name in re.findall(r"`([A-Z][A-Z0-9_]*)`", row) if not name.startswith("ZK_")}
+    caps = {
+        name for name, value in vars(limits).items()
+        if name.isupper() and type(value) is int and not name.startswith("DEFAULT_")
+    }
+    assert named == caps
 
 
 def test_verify_smoke_digest(capsys):

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 import random
+import time
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,22 @@ from zclasskit.ff import (
     make_field,
     mult_generator,
     parse_field,
+    poly_eval,
     poly_gcd,
     poly_mod,
     poly_mul,
+    poly_roots,
     power_class_count,
 )
 
-from reference import big_field, frobenius, irreducible_by_pow_mod, norm
+from reference import (
+    big_field,
+    embedding_root_by_scan,
+    frobenius,
+    irreducible_by_pow_mod,
+    norm,
+    roots_by_scan,
+)
 
 SMALL_Q = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3)]
 
@@ -462,6 +473,33 @@ def test_embed_rejects_non_subfield():
         embed(make_field(2, 1), make_field(3, 1), 1)
 
 
+def _prime_powers(bound: int) -> list[int]:
+    return [q for q in range(2, bound + 1) if len(_factorize(q)) == 1]
+
+
+def test_embedding_root_matches_the_scan_on_every_tower_to_2_16():
+    towers = [
+        (p, a, b)
+        for p, b in map(ff.prime_power, _prime_powers(2**16))
+        for a in range(2, b)
+        if b % a == 0
+    ]
+    assert len(towers) == 33
+    for p, a, b in towers:
+        src, dst = make_field(p, a), make_field(p, b)
+        assert ff._embedding_root(src, dst) == embedding_root_by_scan(src, dst), (p, a, b)
+
+
+def test_embedding_root_from_a_non_prime_field_is_fast():
+    src, dst = make_field(2, 5), make_field(2, 20)
+    ff._embedding_root.cache_clear()
+    t0 = time.perf_counter()
+    rho = ff._embedding_root(src, dst)
+    elapsed = time.perf_counter() - t0
+    assert poly_eval(dst, src.modulus, rho) == 0
+    assert elapsed < 0.05, f"F_2^5 -> F_2^20 embedding root took {elapsed:.3f} s"
+
+
 # ---------------------------------------------------------------------------
 # norms
 
@@ -560,3 +598,50 @@ def test_poly_gcd_with_zero_is_monic():
     assert poly_gcd(f3, (2, 0, 2), ()) == (1, 0, 1)
     assert poly_gcd(f3, (2, 2), ()) == (1, 1)
     assert poly_gcd(f3, (), (0, 2)) == (0, 1)
+
+
+def _seeded_poly(ctx, kind: int, rng: random.Random):
+    """A seeded polynomial and its roots by the scan. Kind 0-5: random of
+    degree kind + 1; 6: five linear factors, two of them repeated; 7: a
+    quadratic with no root."""
+    q = ctx.q
+    while True:
+        if kind < 6:
+            f = tuple(rng.randrange(q) for _ in range(kind + 1)) + (rng.randrange(1, q),)
+        elif kind == 6:
+            rs = [rng.randrange(q) for _ in range(3)]
+            f = reduce(lambda g, r: poly_mul(ctx, g, (ctx.neg(r), 1)), rs + rs[:2], (1,))
+        else:
+            f = (rng.randrange(q), rng.randrange(q), 1)
+        roots = roots_by_scan(ctx, f)
+        if kind < 7 or not roots:
+            return f, roots
+
+
+def test_poly_roots_match_the_scan_on_every_field_to_2_12():
+    # every kind up to order 256; above it one random quadratic per field
+    # (two roots, one or none), so that the scans of 534 fields stay short
+    for q in _prime_powers(2**12):
+        p, m = ff.prime_power(q)
+        # prime fields are built outside the field cache, so that their
+        # q*q tables do not outlive the test
+        ctx = ff.FieldCtx(p, 1, (0, 1)) if m == 1 else make_field(p, m)
+        rng = random.Random(q)
+        for kind in range(8) if q <= 256 else (1,):
+            f, roots = _seeded_poly(ctx, kind, rng)
+            assert poly_roots(ctx, f) == roots, (q, f)
+    assert poly_roots(make_field(3, 2), (2,)) == []
+
+
+def test_poly_roots_above_the_old_scan_bound():
+    # F_4 lies in F_2^22 (4.19M elements), and x^2 + x + 1 has both its cube
+    # roots of unity there; under a split by a = 0, 1, 2, ... every a below
+    # theta^21 has trace 0 for the modulus x^22 + x + 1, and the search hangs
+    F = ff._field(2, 22)
+    assert F.modulus == (1, 1) + (0,) * 20 + (1,)
+    t0 = time.perf_counter()
+    roots = poly_roots(F, (1, 1, 1))
+    elapsed = time.perf_counter() - t0
+    assert len(roots) == 2 and roots == sorted(roots)
+    assert all(r != 1 and F.pow(r, 3) == 1 for r in roots)
+    assert elapsed < 0.1, f"roots of x^2 + x + 1 over F_2^22 took {elapsed:.3f} s"

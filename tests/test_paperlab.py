@@ -140,6 +140,12 @@ def test_fiber_bound_chain():
     assert n["fused_classes"] == 2
 
 
+@pytest.mark.parametrize("params", [{"max_n": 0}, {"max_n": -2}, {"qs": ()}])
+def test_h1_grid_without_points_is_refused(params):
+    with pytest.raises(ValueError, match="has no point"):
+        run_experiment("h1-triple", params)
+
+
 def test_h1_grid():
     e = run_experiment("h1-triple", {"max_n": 6, "qs": (2, 3, 5)})
     assert e.verdict == PASS
