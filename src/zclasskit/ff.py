@@ -773,11 +773,6 @@ def power_class_count(ctx: FieldCtx, n: int) -> PowerClasses:
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     q = ctx.q
-    if q > limits.UNIT_SCAN_CAP:
-        raise BoundExceeded(
-            f"unit enumeration in F_{ctx.name} (order {q}) exceeds "
-            f"UNIT_SCAN_CAP {limits.UNIT_SCAN_CAP}"
-        )
     powers = sorted({ctx.pow(u, n) for u in range(1, q)})
     covered = bytearray(q)
     reps = []

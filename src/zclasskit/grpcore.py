@@ -797,8 +797,8 @@ def _schreier_stabilizer(table: GroupTable, r: int) -> list[Mat]:
 def _stabilizer(table: GroupTable, r: int) -> list[Mat]:
     """The members of C(r): for GL/SL the units of the commutant algebra of
     r (of determinant 1 for SL), each checked to lie in the table and to
-    commute with r; for other families, or a commutant whose listing would
-    exceed SPAN_CAP, the Schreier closure."""
+    commute with r; for other families, or a commutant with more than
+    SPAN_CAP elements, the Schreier closure."""
     g = table.elements[r]
     kind = table.family.kind if table.family else None
     if kind in (GL, SL):
@@ -832,7 +832,7 @@ class ConjClass:
 
 def conjugacy_classes(table: GroupTable) -> tuple[ConjClass, ...]:
     """Conjugation orbits under the certified generators, each led by its
-    least-encoding member; for |G| <= ORBIT_CHECK_LIMIT each is checked
+    least-encoding member; for |G| <= FULL_TABLE_LIMIT each is checked
     against its stabilizer, |cl(a)|·|C(a)| = |G|."""
     if table._classes is not None:
         return table._classes
@@ -840,7 +840,7 @@ def conjugacy_classes(table: GroupTable) -> tuple[ConjClass, ...]:
     order_ids = sorted(table.ids(), key=lambda i: table.elements[i].data)
     classes = []
     done = set()
-    small = table.order <= limits.ORBIT_CHECK_LIMIT
+    small = table.order <= limits.FULL_TABLE_LIMIT
     for seed in order_ids:
         root = _walk(table, seed)
         if root in done:

@@ -13,13 +13,11 @@ field are no larger than a field that passed it, and h1_mu_n holds its
 realizing fields to H1_FIELD_CAP. The internal caps below are read as
 limits.NAME at call time; a BoundExceeded names the cap it hit.
 
-SPAN_CAP bounds span walks two ways. A first-hit search whose hit is
-known to exist (the rational form's chains, the SL witness, the GL and
-SL structural witnesses of a same-type pair) counts the elements it has
-tried (matfq.span_walk), so it succeeds in a span of any size when its
-hit comes early. Only TransporterSpace.elements, which lists every
-element, is refused up front above SPAN_CAP (matfq.check_span_size), and
-grpcore's commutant units give way to the Schreier closure there.
+Within FULL_TABLE_LIMIT conjugacy_classes also checks every class,
+|cl(a)|·|C(a)| = |G|: a full z_partition builds those centralizers anyway.
+SPAN_CAP is the most elements any span walk tries (matfq.span_walk), so
+a first-hit search succeeds in a span of any size when its hit comes
+early; grpcore's commutant units give way to the Schreier closure above it.
 """
 from __future__ import annotations
 
@@ -31,9 +29,7 @@ DEFAULT_MAX_FIELD = 2**20
 
 FULL_TABLE_LIMIT = 100_000  # largest group z_partition partitions whole
 H1_FIELD_CAP = 2**62  # largest field h1_mu_n builds to realize roots of unity
-SPAN_CAP = 300_000  # most elements a first-hit span walk tries; largest span walked whole
-UNIT_SCAN_CAP = 2**20  # largest field whose units power_class_count lists
-ORBIT_CHECK_LIMIT = 5000  # largest group whose classes get |cl(a)|·|C(a)| = |G| rechecked
+SPAN_CAP = 300_000  # most elements any span walk tries
 
 # environment variable -> the value its flag gave this invocation, or None
 INVOCATION: ContextVar[dict] = ContextVar("INVOCATION", default={})

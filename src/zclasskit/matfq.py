@@ -12,11 +12,11 @@ vector at a time through span_step, which fixes their one order; kernel
 bases are in reduced row echelon form, so every kernel and transporter
 space walks in ascending order and the least element with a property is
 the first hit.
-Searches walk spans lazily with span_walk. A first-hit search whose hit
-is known to exist (the rational form's chains, the SL witness once the
-determinant test has passed, the structural witness of a same-type pair)
-stops at SPAN_CAP elements tried; TransporterSpace.elements, which lists
-every element, is refused up front by check_span_size above SPAN_CAP.
+Searches walk spans lazily with span_walk, and every walk stops at
+SPAN_CAP elements tried, so a first-hit search whose hit is known to
+exist (the rational form's chains, the SL witness once the determinant
+test has passed, the structural witness of a same-type pair) succeeds
+whenever its hit comes early.
 
 Canonical-form machinery (charpoly, minpoly, invariant factors, rational
 form) runs on Krylov chains over F_q, and a matrix's invariant factors and
@@ -441,17 +441,6 @@ def _capped_walk(walk, cap: int, message: str):
     raise BoundExceeded(message)
 
 
-def check_span_size(ctx: FieldCtx, dim: int) -> None:
-    """Refuse, before any work, a span of dim vectors with more than
-    SPAN_CAP elements: the check of a caller that lists every element."""
-    total = ctx.q**dim
-    if total > limits.SPAN_CAP:
-        raise BoundExceeded(
-            f"span of {dim} vectors over F_{ctx.name} has {total} elements, "
-            f"above SPAN_CAP {limits.SPAN_CAP}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # invariant factors from Krylov chains over F_q
 
@@ -816,9 +805,7 @@ class TransporterSpace:
         return (Mat._trusted(ctx, n, v) for v in vecs)
 
     def elements(self) -> list[Mat]:
-        """Every element, ascending, listed at once; refused up front when
-        there are more than SPAN_CAP."""
-        check_span_size(self.ctx, self.dim)
+        """Every element, ascending, listed at once; bounded as walk is."""
         return list(self.walk())
 
     def units(self, det: int | None = None) -> Iterator[Mat]:

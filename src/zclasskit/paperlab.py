@@ -46,6 +46,7 @@ from .matfq import (
     sl_conjugate,
 )
 from .zclass import (
+    _member,
     _refine,
     _seed_partition,
     base_change_probe,
@@ -407,8 +408,8 @@ def _run_fiber_bound(family: str, seed: str) -> tuple[object, dict]:
     spec, ctx = parse_group_spec(family)
     if ctx is None:
         raise ValueError("fiber bound needs a matrix family over a named field")
-    g = parse_element_spec(spec, ctx, seed)
     base_table = instantiate(spec, ctx)
+    g = _member(base_table, parse_element_spec(spec, ctx, seed))
     ext = make_field(ctx.p, ctx.m * 2)
     ext_table = instantiate(spec, ext)
     zg_ext = centralizer(ext_table, ext_table.id_of(mat_embed(g, ext)))

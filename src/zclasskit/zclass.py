@@ -44,6 +44,7 @@ from .grpcore import (
     FamilySpec,
     GroupTable,
     Subgroup,
+    VirtualGroup,
     _check_guard,
     center,
     centralizer,
@@ -243,6 +244,14 @@ def _as_mat(table: GroupTable, x) -> Mat:
     return table.mat_of(x) if isinstance(x, int) else x
 
 
+def _member(table: GroupTable, x) -> Mat:
+    """x as a Mat of the table; ValueError naming x when it is not a member."""
+    m = _as_mat(table, x)
+    if not table.contains(m):
+        raise ValueError(f"element {mat_literal(m)} is not a member of {group_label(table)}")
+    return m
+
+
 def z_equivalent(table: GroupTable, g, h) -> Mat | None:
     """Witness x with x Z(g) x^-1 = Z(h), or None; transport re-verified."""
     zg = centralizer(table, table.id_of(_as_mat(table, g)))
@@ -357,10 +366,10 @@ def base_change_probe(
         raise ValueError("extension degree must be positive")
     ext = make_field(ctx.p, ctx.m * r)
     base_table = instantiate(family, ctx)
+    pairs = [(_member(base_table, g), _member(base_table, h)) for g, h in pairs]
     ext_table = instantiate(family, ext)
     rows = []
-    for i, (g, h) in enumerate(pairs):
-        gm, hm = _as_mat(base_table, g), _as_mat(base_table, h)
+    for i, (gm, hm) in enumerate(pairs):
         wb = z_equivalent(base_table, gm, hm)
         we = z_equivalent(ext_table, mat_embed(gm, ext), mat_embed(hm, ext))
         rows.append(ProbeRow(i, wb is not None, we is not None))
@@ -489,13 +498,14 @@ def growth_degree(
     degs = sorted(set(int(d) for d in degrees))
     if not degs or degs[0] < 1:
         raise ValueError("need a nonempty list of positive degrees")
-    g_mat = g if isinstance(g, Mat) else None
-    if g_mat is None:
+    if not isinstance(g, Mat):
         raise ValueError("growth sampling takes an explicit matrix")
+    if not VirtualGroup(family, ctx).contains(g):
+        raise ValueError(f"element {mat_literal(g)} is not a member of {family.label()}@{ctx.name}")
     orders = []
     for r in degs:
         ext = make_field(ctx.p, ctx.m * r)
-        orders.append(_ext_centralizer_order(family, ext, mat_embed(g_mat, ext)))
+        orders.append(_ext_centralizer_order(family, ext, mat_embed(g, ext)))
     for i, ri in enumerate(degs):
         for j, rj in enumerate(degs):
             if ri != rj and rj % ri == 0 and orders[i] > orders[j]:
@@ -506,7 +516,7 @@ def growth_degree(
     est = tuple(round(math.log(o) / (r * logq)) for o, r in zip(orders, degs))
     stable = len(est) >= 2 and est[-1] == est[-2]
     return GrowthDegree(
-        g_mat, tuple(degs), tuple(orders), est, est[-1] if stable else None, stable
+        g, tuple(degs), tuple(orders), est, est[-1] if stable else None, stable
     )
 
 

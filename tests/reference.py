@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from zclasskit import grpcore, limits
-from zclasskit.errors import ConsistencyError
+from zclasskit.errors import BoundExceeded, ConsistencyError
 from zclasskit.ff import (
     FieldCtx,
     FqElem,
@@ -56,7 +56,6 @@ from zclasskit.matfq import (
     mat_embed,
     mat_order,
     poly_of_matrix,
-    check_span_size,
     rref,
     sl_conjugate_test,
     span_walk,
@@ -238,6 +237,17 @@ def weil_embed(K: FieldCtx, r: int, x) -> Mat:
             sub_code = base.encode(coords[block * r : (block + 1) * r])
             data[block * n + j] = sub_code
     return Mat(base, n, data)
+
+
+def check_span_size(ctx: FieldCtx, dim: int) -> None:
+    """Refuse, before any work, a span of dim vectors with more than
+    SPAN_CAP elements: the check of a caller that lists every element."""
+    total = ctx.q**dim
+    if total > limits.SPAN_CAP:
+        raise BoundExceeded(
+            f"span of {dim} vectors over F_{ctx.name} has {total} elements, "
+            f"above SPAN_CAP {limits.SPAN_CAP}"
+        )
 
 
 def span_vectors(ctx: FieldCtx, basis) -> list[tuple[int, ...]]:
