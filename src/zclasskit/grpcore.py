@@ -1,8 +1,8 @@
 """Explicit finite matrix group engine.
 
-Families are instantiated as full element tables (lists of Mat, indexed
-by canonical encoding), with closed-form order counts asserted against
-the enumeration. Class and subgroup work runs on element ids: each
+A family's table enumerates nothing: an element's id is its rank in the
+lexicographic order of the codes, and the table turns ids into matrices
+and back on demand. Class and subgroup work runs on element ids: each
 conjugation orbit is walked once under the table's small generating set,
 recording a Schreier tree, so every member b of the orbit of its root r
 has a transversal t_b with t_b r t_b^-1 = b. A root's centralizer is its
@@ -18,7 +18,9 @@ certifies that a table's generators reach every element.
 """
 from __future__ import annotations
 
-import itertools
+import bisect
+import functools
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -28,12 +30,12 @@ from . import limits
 from .ff import FieldCtx, _factorize, make_field, mult_generator, parse_field
 from .matfq import (
     Mat,
+    _ech_insert,
     centralizer_algebra,
     heisenberg_element,
     mat_order,
     mat_parse,
     regular_unipotent,
-    span_step,
 )
 
 GL = "gl"
@@ -83,25 +85,13 @@ class FamilySpec:
 
 
 def family_order(spec: FamilySpec, ctx: FieldCtx) -> int:
-    q = ctx.q
-    n = spec.n
-    if spec.kind == GL:
-        out = 1
-        for i in range(n):
-            out *= q**n - q**i
-        return out
-    if spec.kind == SL:
-        return family_order(FamilySpec(GL, n), ctx) // (q - 1)
-    if spec.kind == BOREL_GL:
-        return (q - 1) ** n * q ** (n * (n - 1) // 2)
-    if spec.kind == BOREL_SL:
-        return (q - 1) ** (n - 1) * q ** (n * (n - 1) // 2)
-    if spec.kind in (UNIPOTENT, HEISENBERG):
-        m = 3 if spec.kind == HEISENBERG else n
-        return q ** (m * (m - 1) // 2)
-    if spec.kind == DIHEDRAL:
+    q, n, kind = ctx.q, spec.n, spec.kind
+    if kind == DIHEDRAL:
         return 2 * n
-    raise ValueError(spec.kind)
+    if kind in (GL, SL):
+        return math.prod(q**n - q**i for i in range(n)) // (q - 1 if kind == SL else 1)
+    units = {BOREL_GL: n, BOREL_SL: n - 1}.get(kind, 0)  # free diagonal entries
+    return (q - 1) ** units * q ** (n * (n - 1) // 2)
 
 
 def parse_group_spec(text: str):
@@ -257,43 +247,40 @@ def _linear_generators(spec: FamilySpec, ctx: FieldCtx) -> tuple[list[Mat], list
 
 
 class GroupTable:
-    """Immutable element table with canonical-encoding index.
+    """Immutable group table, its elements numbered by ids in range(order).
 
-    Besides the elements it carries the per-table state of the class
-    engine: the conjugation orbits walked so far, as a root id per element
-    and a Schreier tree (parent id, generator index), all compact arrays
-    allocated on the first walk, and the centralizers computed so far.
+    A ranked table (GL, SL, Borel, unitriangular, Heisenberg) enumerates
+    nothing: an id is the element's rank in the lexicographic order of the
+    codes, computed from the element and back, and a memo (data -> id,
+    id -> Mat) keeps the elements touched. A table of an explicit list
+    (closure_generate, dihedral) holds the list in its memo. The table also
+    keeps the class engine's state: the conjugation orbits walked so far
+    (a root id per element and a Schreier tree of parent id and generator
+    index, arrays allocated on the first walk) and the centralizers.
     """
 
     __slots__ = (
-        "family", "ctx", "elements", "index", "order", "gens", "_gens_inv",
-        "_fallback", "_gens_certified", "_classes", "_identity_id",
+        "family", "ctx", "n", "order", "gens", "_gens_inv", "_ranks", "_ids", "_mats",
+        "_elements", "_fallback", "_gens_certified", "_classes", "_identity_id",
         "_orbit_root", "_orbit_parent", "_orbit_gen", "_orbits", "_centralizers",
     )
 
-    def __init__(
-        self,
-        family: FamilySpec | None,
-        ctx: FieldCtx,
-        elements: list[Mat],
-        gens: list[Mat],
-        fallback: list[Mat] | None = None,
-    ):
-        self.family = family
-        self.ctx = ctx
-        self.elements = tuple(elements)
-        self.index = {m.data: i for i, m in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
+    def __init__(self, family: FamilySpec | None, ctx: FieldCtx, elements: list[Mat] | None,
+                 gens: list[Mat], fallback: list[Mat] | None = None, ranks=None):
+        self.family, self.ctx, self._ranks = family, ctx, ranks  # ranks: rank and unrank, or None
+        self._elements = None if ranks else tuple(elements)
+        self._mats = {} if ranks else dict(enumerate(self._elements))  # id -> Mat
+        self._ids = {m.data: i for i, m in self._mats.items()}  # data -> id
+        if len(self._ids) != len(self._mats):
             raise ConsistencyError("duplicate elements in group table")
-        self.order = len(self.elements)
+        self.order = family_order(family, ctx) if ranks else len(self._elements)
+        self.n = family.matrix_dim if family else elements[0].n
         self._set_gens(gens)
         self._fallback = fallback
         self._gens_certified = False
-        n = self.elements[0].n
-        ident = Mat.identity(ctx, n)
-        if ident.data not in self.index:
+        self._identity_id = self._find(Mat.identity(ctx, self.n))
+        if self._identity_id is None:
             raise ConsistencyError("group table lacks the identity")
-        self._identity_id = self.index[ident.data]
 
     def _set_gens(self, gens) -> None:
         """Install a generating set and drop everything walked under the old one."""
@@ -307,24 +294,47 @@ class GroupTable:
         self._centralizers: dict[int, tuple] = {}  # id -> parts, see _centralizer_parts
 
     @property
-    def n(self) -> int:
-        return self.elements[0].n
+    def elements(self) -> tuple[Mat, ...]:
+        """Every element in id order; a ranked table unranks them all on first read."""
+        if self._elements is None:
+            self._elements = tuple(map(self.mat_of, range(self.order)))
+        return self._elements
+
+    @property
+    def index(self) -> dict:
+        """data -> id of every element, which a ranked table unranks first."""
+        _ = self.elements
+        return self._ids
 
     @property
     def identity_id(self) -> int:
         return self._identity_id
 
+    def _find(self, mat: Mat) -> int | None:
+        """mat's id from the memo, else from its rank; None for a non-member."""
+        eid = self._ids.get(mat.data)
+        if eid is None and self._ranks and _family_member(self.family, self.ctx, mat):
+            eid = self._ids[mat.data] = self._ranks.rank(mat.data)
+            self._mats.setdefault(eid, mat)
+        return eid
+
     def id_of(self, mat: Mat) -> int:
-        got = self.index.get(mat.data)
+        got = self._find(mat)
         if got is None:
             raise KeyError("matrix is not an element of this group")
         return got
 
     def mat_of(self, eid: int) -> Mat:
-        return self.elements[eid]
+        m = self._mats.get(eid)
+        if m is None:
+            if not self._ranks or not 0 <= eid < self.order:
+                raise IndexError(f"no element with id {eid}")
+            m = self._mats[eid] = Mat._trusted(self.ctx, self.n, self._ranks.unrank(eid))
+            self._ids[m.data] = eid
+        return m
 
     def contains(self, mat: Mat) -> bool:
-        return mat.data in self.index
+        return self._find(mat) is not None
 
     def ids(self) -> range:
         return range(self.order)
@@ -339,16 +349,12 @@ class GroupTable:
     def _reached(self) -> int:
         """How many elements the generators reach from the identity: the
         key_orbits walk of closure_generate, on ids."""
-        elements, index = self.elements, self.index
-
-        def id_in_table(m: Mat) -> int:
-            y = index.get(m.data)
-            if y is None:
-                raise ConsistencyError("a generator leads outside the group table")
-            return y
-
-        moves = [lambda x, g=g: id_in_table(elements[x] * g) for g in self.gens]
-        return len(next(key_orbits([self._identity_id], moves)))
+        mat_of, id_of = self.mat_of, self.id_of
+        moves = [lambda x, g=g: id_of(mat_of(x) * g) for g in self.gens]
+        try:
+            return len(next(key_orbits([self._identity_id], moves)))
+        except KeyError:  # id_of refused a product
+            raise ConsistencyError("a generator leads outside the group table") from None
 
     def _certify_generators(self) -> bool:
         """Verify the stored generators reach every element (one closure walk).
@@ -374,37 +380,33 @@ class GroupTable:
 class VirtualGroup:
     """Order and membership for a family too large to tabulate."""
 
-    __slots__ = ("family", "ctx", "order")
+    __slots__ = ("family", "ctx", "n", "order")
 
     def __init__(self, family: FamilySpec, ctx: FieldCtx):
-        self.family = family
-        self.ctx = ctx
+        self.family, self.ctx, self.n = family, ctx, family.matrix_dim
         self.order = family_order(family, ctx)
 
-    @property
-    def n(self) -> int:
-        return self.family.matrix_dim
-
     def contains(self, mat: Mat) -> bool:
-        if mat.ctx is not self.ctx or mat.n != self.n:
-            return False
-        kind = self.family.kind
-        det = mat.det()
-        if kind == GL:
-            return det != 0
-        if kind == SL:
-            return det == 1
-        upper = all(mat[i, j] == 0 for i in range(mat.n) for j in range(i))
-        if kind == BOREL_GL:
-            return upper and det != 0
-        if kind == BOREL_SL:
-            return upper and det == 1
-        if kind in (UNIPOTENT, HEISENBERG):
-            return upper and all(mat[i, i] == 1 for i in range(mat.n))
-        raise ValueError(kind)
+        return _family_member(self.family, self.ctx, mat)
 
     def __repr__(self) -> str:
         return f"VirtualGroup({self.family.label()}@{self.ctx.name}, order {self.order})"
+
+
+def _family_member(spec: FamilySpec, ctx: FieldCtx, mat: Mat) -> bool:
+    """The one membership rule of the matrix families: size and field, the
+    upper-triangular shape but for GL and SL, a diagonal of ones for the
+    unitriangular groups, else det = 1 (SL, Borel-SL) or det != 0."""
+    if mat.ctx is not ctx or mat.n != spec.matrix_dim:
+        return False
+    kind, n, a = spec.kind, mat.n, mat.data
+    if kind == DIHEDRAL:
+        raise ValueError(kind)
+    if kind not in (GL, SL) and any(a[i * n + j] for i in range(1, n) for j in range(i)):
+        return False
+    if kind in (UNIPOTENT, HEISENBERG):
+        return set(a[:: n + 1]) == {1}
+    return mat.det() == 1 if kind in _DET_ONE_KINDS else mat.det() != 0
 
 
 def _check_guard(spec: FamilySpec, ctx: FieldCtx) -> None:
@@ -418,81 +420,127 @@ def _check_guard(spec: FamilySpec, ctx: FieldCtx) -> None:
         warnings.warn(msg, stacklevel=3)
 
 
-def _build_rows(ctx: FieldCtx, n: int, det_one: bool) -> list[Mat]:
-    """GL_n, or SL_n when det_one, by rank-respecting row enumeration.
+def _add_multiple(ctx: FieldCtx, acc: list[int], c: int, row) -> list[int]:
+    add, mul = ctx.add, ctx.mul
+    return [add(x, mul(c, y)) for x, y in zip(acc, row)] if c else acc
 
-    Each row runs over the vectors outside the span S of the rows before
-    it, S grown one row at a time. For SL the last row is c*r0 + s with
-    r0 the least vector outside S and s in S: det is linear in the last
-    row and vanishes on S, so c = det(rows, r0)^-1.
+
+def _span_below(ctx: FieldCtx, ech, r) -> int:
+    """How many vectors of span(ech) (echelon rows, leading ones) come
+    before r lexicographically, by one walk over the columns: at a pivot the
+    span takes every value, r[j] of them below r's, each with q^(pivots
+    left) completions; elsewhere its one value settles it."""
+    q, pivots = ctx.q, dict(ech)
+    acc, left, count = [0] * len(r), len(pivots), 0
+    for j, x in enumerate(r):
+        if j not in pivots:
+            if acc[j] != x:
+                return count + (q**left if acc[j] < x else 0)
+            continue
+        left -= 1
+        count += x * q**left
+        acc = _add_multiple(ctx, acc, ctx.sub(x, acc[j]), pivots[j])
+    return count
+
+
+def _nth_outside(ctx: FieldCtx, ech, n: int, d: int) -> tuple[int, ...]:
+    """The vector outside span(ech) with d such vectors before it, digit by
+    digit: the largest digit whose least completion has at most d before it."""
+    q, out = ctx.q, []
+    below = lambda v: functools.reduce(lambda a, x: a * q + x, v, 0) - _span_below(ctx, ech, v)
+    for j in range(n):
+        pad = [0] * (n - j - 1)
+        out.append(bisect.bisect_right(range(q), d, key=lambda x: below(out + [x] + pad)) - 1)
+    return tuple(out)
+
+
+class _LinearRanks:
+    """Lexicographic rank and unrank of GL_n(F_q), or of SL_n(F_q) when
+    det_one (Kreher and Stinson, Combinatorial Algorithms, 1999, ch. 2).
+
+    Row k runs over the vectors outside the span S of the rows before it,
+    so it adds its index among them times the completions of the rows
+    after it, whatever the rows are. For SL the last row runs over the
+    coset of S where det is 1, ordered as its entries in S's pivot columns.
+    A walk over a table ranks many matrices with the same first n - 1 rows,
+    so their part of the rank and their echelon are kept per rows.
     """
-    q, add, mul = ctx.q, ctx.add, ctx.mul
-    vecs = list(itertools.product(range(q), repeat=n))
-    out: list[Mat] = []
-    todo = [((), [(0,) * n])]  # (the first rows, concatenated; their span)
-    while todo:
-        prefix, span = todo.pop()
-        inside = set(span)
-        last = len(prefix) == n * (n - 1)
-        if last and det_one:
-            r0 = next(v for v in vecs if v not in inside)
-            c = ctx.inv(Mat._trusted(ctx, n, prefix + r0).det())
-            cr0 = [mul(c, x) for x in r0]
-            out.extend(Mat._trusted(ctx, n, prefix + tuple(map(add, cr0, s))) for s in span)
-            continue
-        rows = [v for v in vecs if v not in inside]
-        if last:
-            out.extend(Mat._trusted(ctx, n, prefix + r) for r in rows)
-            continue
-        todo.extend((prefix + r, list(span_step(ctx, span, r))) for r in rows)
-    return out
+
+    def __init__(self, ctx: FieldCtx, n: int, det_one: bool):
+        q = ctx.q
+        self.ctx, self.n, self.det_one, self._heads = ctx, n, det_one, {}
+        radix = [q**n - q**k for k in range(n - det_one)] + [q ** (n - 1)] * det_one
+        self.weights = [math.prod(radix[k + 1 :]) for k in range(n)]
+
+    def rank(self, data: tuple[int, ...]) -> int:
+        ctx, n, q, cut = self.ctx, self.n, self.ctx.q, (self.n - 1) * self.n
+        value = lambda digits: functools.reduce(lambda a, x: a * q + x, digits, 0)
+        head = self._heads.get(data[:cut])
+        if head is None:
+            ech, out = [], 0
+            for k in range(n - 1):
+                r = data[k * n : (k + 1) * n]
+                out += (value(r) - _span_below(ctx, ech, r)) * self.weights[k]
+                _ech_insert(ctx, ech, r)
+            head = self._heads[data[:cut]] = out, sorted(ech)
+        out, ech = head
+        last = data[cut:]
+        if self.det_one:
+            return out + value(last[p] for p, _ in ech)
+        return out + value(last) - _span_below(ctx, ech, last)
+
+    def unrank(self, eid: int) -> tuple[int, ...]:
+        ctx, n, q = self.ctx, self.n, self.ctx.q
+        ech, rows = [], ()
+        for k in range(n - self.det_one):
+            d, eid = divmod(eid, self.weights[k])
+            rows += _nth_outside(ctx, ech, n, d)
+            if k + 1 < n:
+                _ech_insert(ctx, ech, rows[-n:])
+        if self.det_one:  # det is 1 on c*e_f + S, f the column without a pivot
+            (f,) = set(range(n)).difference(p for p, _ in ech)
+            e_f = tuple(int(j == f) for j in range(n))
+            acc = [ctx.inv(Mat._trusted(ctx, n, rows + e_f).det()) * x for x in e_f]
+            for i, (p, row) in enumerate(sorted(ech)):
+                acc = _add_multiple(ctx, acc, ctx.sub(eid // q ** (n - 2 - i) % q, acc[p]), row)
+            rows += tuple(acc)
+        return rows
 
 
-def _build_triangular(ctx: FieldCtx, n: int, kind: str) -> list[Mat]:
-    q = ctx.q
-    units = list(range(1, q))
-    out = []
-    if kind in (UNIPOTENT, HEISENBERG):
-        diag_choices = [(1,)] * n
-    elif kind == BOREL_GL:
-        diag_choices = [tuple(units)] * n
-    else:  # BOREL_SL: last diagonal entry fixed by the others
-        diag_choices = [tuple(units)] * (n - 1)
-    upper_positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for diag in itertools.product(*diag_choices):
-        if kind == BOREL_SL:
-            prod = 1
-            for d in diag:
-                prod = ctx.mul(prod, d)
-            diag = diag + (ctx.inv(prod),)
-        for uppers in itertools.product(range(q), repeat=len(upper_positions)):
-            data = [0] * (n * n)
-            for i in range(n):
-                data[i * n + i] = diag[i]
-            for (i, j), v in zip(upper_positions, uppers):
-                data[i * n + j] = v
-            out.append(Mat(ctx, n, data))
-    return out
+class _TriangularRanks:
+    """Rank and unrank of a Borel, unitriangular or Heisenberg table: mixed
+    radix over the free entries in row-major order, q above the diagonal
+    and q - 1 for a unit on it (digit code - 1); the last diagonal entry
+    of Borel-SL is fixed by the others."""
 
+    def __init__(self, ctx: FieldCtx, n: int, kind: str):
+        self.ctx, self.n, self.kind = ctx, n, kind
+        units = {BOREL_GL: n, BOREL_SL: n - 1}.get(kind, 0)  # free diagonal entries
+        self.free = [(i * n + j, ctx.q - (i == j), int(i == j))  # (position, radix, least code)
+                     for i in range(n) for j in range(i, n) if j > i or i < units]
 
-def _build_dihedral(m: int, ctx: FieldCtx) -> tuple[list[Mat], list[Mat]]:
-    rot, refl = dihedral_generators(m, ctx)
-    members = []
-    acc = Mat.identity(ctx, 2)
-    for _ in range(m):
-        members.append(acc)
-        members.append(acc * refl)
-        acc = acc * rot
-    return members, [rot, refl]
+    def rank(self, data: tuple[int, ...]) -> int:
+        return functools.reduce(lambda out, f: out * f[1] + data[f[0]] - f[2], self.free, 0)
+
+    def unrank(self, eid: int) -> tuple[int, ...]:
+        n, ctx = self.n, self.ctx
+        data = [int(i % (n + 1) == 0) for i in range(n * n)]  # the identity
+        for pos, radix, least in reversed(self.free):
+            eid, digit = divmod(eid, radix)
+            data[pos] = digit + least
+        if self.kind == BOREL_SL:
+            data[-1] = ctx.inv(functools.reduce(ctx.mul, data[: n * n - 1 : n + 1], 1))
+        return tuple(data)
 
 
 def instantiate(spec: FamilySpec, ctx: FieldCtx | None = None) -> GroupTable:
-    """Build the full table; the closed-form order is asserted afterwards.
+    """The group table of a family: ranked, so nothing is enumerated, but
+    for the dihedral table, which lists its elements sorted by encoding.
 
-    Raises BoundExceeded before building anything when the closed-form
-    order exceeds limits.max_group() (ZK_MAX_GROUP / --max-group). The
-    dihedral family picks its own field (least q with m | q - 1) when
-    ctx is omitted; every other family requires an explicit context.
+    Raises BoundExceeded before any work when the closed-form order
+    exceeds limits.max_group() (ZK_MAX_GROUP / --max-group). The dihedral
+    family picks its own field (least q with m | q - 1) when ctx is
+    omitted; every other family requires an explicit context.
     """
     if ctx is None:
         if spec.kind != DIHEDRAL:
@@ -506,27 +554,17 @@ def instantiate(spec: FamilySpec, ctx: FieldCtx | None = None) -> GroupTable:
             f"{spec.label()}@{ctx.name} has order {expected}, above bound {bound} "
             "(ZK_MAX_GROUP / --max-group)"
         )
-    n = spec.matrix_dim
-    fallback = None
+    if spec.kind == DIHEDRAL:  # the orbit of I under right multiplication by the generators
+        gens = list(dihedral_generators(spec.n, ctx))
+        members = next(key_orbits([Mat.identity(ctx, 2)], [lambda x, g=g: x * g for g in gens]))
+        return GroupTable(spec, ctx, sorted(members, key=lambda m: m.data), gens)
     if spec.kind in (GL, SL):
-        elements = _build_rows(ctx, n, det_one=spec.kind == SL)
         gens, fallback = _linear_generators(spec, ctx)
-    elif spec.kind in (BOREL_GL, BOREL_SL, UNIPOTENT, HEISENBERG):
-        elements = _build_triangular(ctx, n, spec.kind)
-        gens = standard_generators(spec, ctx)
-    elif spec.kind == DIHEDRAL:
-        elements, gens = _build_dihedral(spec.n, ctx)
+        ranks = _LinearRanks(ctx, spec.n, spec.kind == SL)
     else:
-        raise ValueError(spec.kind)
-    elements.sort(key=lambda m: m.data)
-    elements = tuple(elements)  # the list goes before the table builds its index
-    table = GroupTable(spec, ctx, elements, gens, fallback)
-    if table.order != expected:
-        raise ConsistencyError(
-            f"enumerated {table.order} elements of {spec.label()}@{ctx.name}, "
-            f"formula says {expected}"
-        )
-    return table
+        gens, fallback = standard_generators(spec, ctx), None
+        ranks = _TriangularRanks(ctx, spec.n, spec.kind)
+    return GroupTable(spec, ctx, None, gens, fallback, ranks)
 
 
 def _adjoin(group: list, gens: list, g, mul, within=None) -> list:
@@ -732,7 +770,7 @@ def _walk(table: GroupTable, seed: int) -> int:
     if root[seed] >= 0:
         return root[seed]
     parent, via = table._orbit_parent, table._orbit_gen
-    elements, index = table.elements, table.index
+    mat_of, id_of = table.mat_of, table.id_of
     conj = list(enumerate(zip(table.gens, table._gens_inv)))
     root[seed] = parent[seed] = seed
     orbit = array("i", [seed])
@@ -740,9 +778,9 @@ def _walk(table: GroupTable, seed: int) -> int:
     while head < len(orbit):
         x = orbit[head]
         head += 1
-        mx = elements[x]
+        mx = mat_of(x)
         for k, (g, gi) in conj:
-            y = index[(g * mx * gi).data]
+            y = id_of(g * mx * gi)
             if root[y] < 0:
                 root[y], parent[y], via[y] = seed, x, k
                 orbit.append(y)
@@ -754,7 +792,7 @@ def _transversal(table: GroupTable, b: int) -> tuple[Mat, Mat]:
     """(t, t^-1) with t r t^-1 = b, r the root of b's (walked) orbit: the
     generators on b's Schreier-tree path, read from b up to r."""
     parent, via = table._orbit_parent, table._orbit_gen
-    t = ti = table.elements[table.identity_id]
+    t = ti = table.mat_of(table.identity_id)
     while parent[b] != b:
         k = via[b]
         t, ti = t * table.gens[k], table._gens_inv[k] * ti
@@ -766,12 +804,12 @@ def _schreier_stabilizer(table: GroupTable, r: int) -> list[Mat]:
     """C(r) closed from the Schreier generators t_c^-1 g t_b of r's orbit
     (c = g b g^-1), which generate it (Schreier's lemma); the closure stops
     once it holds |G| / |cl(r)| elements."""
-    elements, index = table.elements, table.index
+    mat_of, id_of = table.mat_of, table.id_of
     parent, via = table._orbit_parent, table._orbit_gen
     gens, gens_inv = table.gens, table._gens_inv
     orbit = table._orbits[r]
-    g_r = elements[r]
-    ident = elements[table.identity_id]
+    g_r = mat_of(r)
+    ident = mat_of(table.identity_id)
     t, ti = {r: ident}, {r: ident}
     for b in orbit[1:]:  # walk order: a parent comes before its children
         p, k = parent[b], via[b]
@@ -781,9 +819,9 @@ def _schreier_stabilizer(table: GroupTable, r: int) -> list[Mat]:
     for b in orbit:
         if len(found) >= want:
             break
-        mb = elements[b]
+        mb = mat_of(b)
         for g, gi in zip(gens, gens_inv):
-            s = ti[index[(g * mb * gi).data]] * g * t[b]
+            s = ti[id_of(g * mb * gi)] * g * t[b]
             if s in seen:
                 continue
             if s * g_r != g_r * s:
@@ -791,7 +829,7 @@ def _schreier_stabilizer(table: GroupTable, r: int) -> list[Mat]:
             found = _adjoin(found, schreier, s, operator.mul)
             schreier.append(s)
             seen = set(found)
-    return [elements[index[m.data]] for m in found]  # the table's own objects
+    return [mat_of(id_of(m)) for m in found]  # the table's own objects
 
 
 def _stabilizer(table: GroupTable, r: int) -> list[Mat]:
@@ -799,7 +837,7 @@ def _stabilizer(table: GroupTable, r: int) -> list[Mat]:
     r (of determinant 1 for SL), each checked to lie in the table and to
     commute with r; for other families, or a commutant with more than
     SPAN_CAP elements, the Schreier closure."""
-    g = table.elements[r]
+    g = table.mat_of(r)
     kind = table.family.kind if table.family else None
     if kind in (GL, SL):
         if g.is_scalar():
@@ -808,10 +846,10 @@ def _stabilizer(table: GroupTable, r: int) -> list[Mat]:
         if table.ctx.q**alg.dim <= limits.SPAN_CAP:
             members = []
             for x in alg.units(1 if kind == SL else None):
-                i = table.index.get(x.data)
+                i = table._find(x)
                 if i is None or x * g != g * x:
                     raise ConsistencyError("commutant unit outside the centralizer")
-                members.append(table.elements[i])
+                members.append(table.mat_of(i))
             return members
     return _schreier_stabilizer(table, r)
 
@@ -837,7 +875,9 @@ def conjugacy_classes(table: GroupTable) -> tuple[ConjClass, ...]:
     if table._classes is not None:
         return table._classes
     table._certify_generators()
-    order_ids = sorted(table.ids(), key=lambda i: table.elements[i].data)
+    order_ids = table.ids()  # a ranked table's ids ascend with the encoding
+    if table._ranks is None:
+        order_ids = sorted(order_ids, key=lambda i: table.mat_of(i).data)
     classes = []
     done = set()
     small = table.order <= limits.FULL_TABLE_LIMIT
@@ -884,11 +924,9 @@ def _centralizer_parts(table: GroupTable, g_id: int) -> tuple:
     if root != g_id:
         r_members, _, r_gens = _centralizer_parts(table, root)
         t, ti = _transversal(table, g_id)
-        elements, index = table.elements, table.index
-        members = sorted(
-            (elements[index[(t * m * ti).data]] for m in r_members), key=lambda m: m.data
-        )
-        gens = tuple(elements[index[(t * m * ti).data]] for m in r_gens)
+        mat_of, id_of = table.mat_of, table.id_of
+        members = sorted((mat_of(id_of(t * m * ti)) for m in r_members), key=lambda m: m.data)
+        gens = tuple(mat_of(id_of(t * m * ti)) for m in r_gens)
         parts = tuple(members), frozenset(members), gens
     else:
         members = _stabilizer(table, g_id)
@@ -906,11 +944,30 @@ def _centralizer_parts(table: GroupTable, g_id: int) -> tuple:
 
 
 def center(table: GroupTable) -> Subgroup:
-    table._certify_generators()
-    members = [m for m in table.elements if all(m * g == g * m for g in table.gens)]
+    """Z(G): the closed form of a ranked family (_center_members), else
+    the elements that commute with every certified generator."""
+    if table._ranks:
+        members = _center_members(table.family, table.ctx)
+    else:
+        table._certify_generators()
+        members = [m for m in table.elements if all(m * g == g * m for g in table.gens)]
     if len(members) == table.order:
         return whole_group(table)
     return subgroup_from_members(table, members)
+
+
+def _center_members(spec: FamilySpec, ctx: FieldCtx) -> list[Mat]:
+    """Z(G) of a ranked family: its scalars cI (c^n = 1 for SL and Borel-SL,
+    c = 1 if unitriangular), times I + a*E_1n for a in F_q where the diagonal
+    fixes E_1n: unitriangular groups, Borel groups over F_2, Borel-SL_2(F_3)."""
+    n, q, kind = spec.n, ctx.q, spec.kind
+    unitriangular = kind in (UNIPOTENT, HEISENBERG)
+    corner = (unitriangular or kind in (BOREL_GL, BOREL_SL) and q == 2
+              or (kind, n, q) == (BOREL_SL, 2, 3))
+    scalars = [1] if unitriangular else [
+        c for c in ctx.units() if kind in (GL, BOREL_GL) or ctx.pow(c, n) == 1]
+    return [Mat.scalar(ctx, n, c) * _transvection(ctx, n, 0, n - 1, a)
+            for c in scalars for a in (range(q) if corner else [0])]
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +1040,7 @@ def normalizer(table: GroupTable, H: Subgroup) -> Subgroup:
     """{x : x H x^-1 = H}: every hit of the conjugator walk from H to H."""
     if H.order == table.order:
         return whole_group(table)
-    members = [table.elements[i] for i in _conjugators(table, H, H)]
+    members = [table.mat_of(i) for i in _conjugators(table, H, H)]
     if len(members) == table.order:
         return whole_group(table)
     return subgroup_from_members(table, members)

@@ -1,7 +1,7 @@
 """The one registry of resource bounds; no function takes a bound of its own.
 
-ZK_MAX_GROUP (default 2e6) bounds the groups instantiate(),
-closure_generate() and a seed partition's table enumerate; ZK_MAX_FIELD
+ZK_MAX_GROUP (default 2e6) bounds the order of the tables instantiate(),
+closure_generate() and a seed partition's table build; ZK_MAX_FIELD
 (default 2^20) the fields make_field() builds.
 Each is read from the invocation's flag (the command line puts
 --max-group and --max-field in INVOCATION for the whole command), else

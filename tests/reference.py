@@ -31,15 +31,22 @@ from zclasskit.ff import (
     poly_trim,
 )
 from zclasskit.grpcore import (
+    BOREL_GL,
+    BOREL_SL,
     DIHEDRAL,
     GL,
+    HEISENBERG,
     SL,
+    UNIPOTENT,
     FamilySpec,
     GroupTable,
+    Subgroup,
     _additive_basis,
     _transvection,
     conjugacy_classes,
     dihedral_generators,
+    subgroup_from_members,
+    whole_group,
 )
 from zclasskit.matfq import (
     Mat,
@@ -58,6 +65,7 @@ from zclasskit.matfq import (
     poly_of_matrix,
     rref,
     sl_conjugate_test,
+    span_step,
     span_walk,
     transporter_space,
 )
@@ -546,3 +554,86 @@ def smith_invariant_factors(A: Mat) -> tuple[tuple[int, ...], ...]:
     """Nonconstant invariant factors in divisibility order, read off the
     Smith diagonal of xI - A."""
     return tuple(d for d in _snf_diagonal(A) if len(d) >= 2)
+
+
+# ---------------------------------------------------------------------------
+# whole-table enumerators and the center scan: oracles of the ranked tables
+
+
+def _build_rows(ctx: FieldCtx, n: int, det_one: bool) -> list[Mat]:
+    """GL_n, or SL_n when det_one, by rank-respecting row enumeration.
+
+    Each row runs over the vectors outside the span S of the rows before
+    it, S grown one row at a time. For SL the last row is c*r0 + s with
+    r0 the least vector outside S and s in S: det is linear in the last
+    row and vanishes on S, so c = det(rows, r0)^-1.
+    """
+    q, add, mul = ctx.q, ctx.add, ctx.mul
+    vecs = list(itertools.product(range(q), repeat=n))
+    out: list[Mat] = []
+    todo = [((), [(0,) * n])]  # (the first rows, concatenated; their span)
+    while todo:
+        prefix, span = todo.pop()
+        inside = set(span)
+        last = len(prefix) == n * (n - 1)
+        if last and det_one:
+            r0 = next(v for v in vecs if v not in inside)
+            c = ctx.inv(Mat._trusted(ctx, n, prefix + r0).det())
+            cr0 = [mul(c, x) for x in r0]
+            out.extend(Mat._trusted(ctx, n, prefix + tuple(map(add, cr0, s))) for s in span)
+            continue
+        rows = [v for v in vecs if v not in inside]
+        if last:
+            out.extend(Mat._trusted(ctx, n, prefix + r) for r in rows)
+            continue
+        todo.extend((prefix + r, list(span_step(ctx, span, r))) for r in rows)
+    return out
+
+
+def _build_triangular(ctx: FieldCtx, n: int, kind: str) -> list[Mat]:
+    q = ctx.q
+    units = list(range(1, q))
+    out = []
+    if kind in (UNIPOTENT, HEISENBERG):
+        diag_choices = [(1,)] * n
+    elif kind == BOREL_GL:
+        diag_choices = [tuple(units)] * n
+    else:  # BOREL_SL: last diagonal entry fixed by the others
+        diag_choices = [tuple(units)] * (n - 1)
+    upper_positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for diag in itertools.product(*diag_choices):
+        if kind == BOREL_SL:
+            prod = 1
+            for d in diag:
+                prod = ctx.mul(prod, d)
+            diag = diag + (ctx.inv(prod),)
+        for uppers in itertools.product(range(q), repeat=len(upper_positions)):
+            data = [0] * (n * n)
+            for i in range(n):
+                data[i * n + i] = diag[i]
+            for (i, j), v in zip(upper_positions, uppers):
+                data[i * n + j] = v
+            out.append(Mat(ctx, n, data))
+    return out
+
+
+def family_elements(spec: FamilySpec, ctx: FieldCtx) -> list[Mat]:
+    """Every element of a GL, SL, Borel, unitriangular or Heisenberg
+    family, enumerated and sorted by encoding, so that each element's
+    position is its id in the ranked table."""
+    if spec.kind in (GL, SL):
+        elements = _build_rows(ctx, spec.n, det_one=spec.kind == SL)
+    else:
+        elements = _build_triangular(ctx, spec.n, spec.kind)
+    elements.sort(key=lambda m: m.data)
+    return elements
+
+
+def center_scan(table: GroupTable) -> Subgroup:
+    """Z(G) by scanning every element against every certified generator,
+    the route grpcore.center keeps for explicit-list tables."""
+    table._certify_generators()
+    members = [m for m in table.elements if all(m * g == g * m for g in table.gens)]
+    if len(members) == table.order:
+        return whole_group(table)
+    return subgroup_from_members(table, members)
