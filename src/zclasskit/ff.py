@@ -13,17 +13,24 @@ term. For m = 1 this yields the polynomial x, so prime-field codes are
 the usual residues 0..p-1. The search tries the candidates in that order
 with Rabin's test. The powers x^(p^i) mod f are taken in the packed ring
 F_p[x]/f of the candidate (PackedRing, the arithmetic a field is built
-on), and the gcds with x^(p^i) - x over F_p.
+on), and the gcds with x^(p^i) - x over F_p on plain integers: bit-packed
+polynomials under XOR for p = 2, lists reduced % p for odd p. poly_divmod
+and poly_gcd take the same route over any prime field.
 
-Arithmetic takes one of three paths, chosen by q: full q*q add/mul
-tables for q <= 512, built with the field; exp/log tables of the least
-multiplicative generator for q <= 2^16, walked on demand; and raw
-polynomial arithmetic above that. A field of the middle tier starts on
-the raw path, which is exact, and walks its tables (g^i in packed form,
-q - 1 multiplies) once its raw path has done about as many packed
-multiplies as the walk costs. A field that hosts a handful of elements
-never pays for the walk, and bulk work pays at most about twice what an
-eager walk would.
+Arithmetic takes one of three paths, chosen by q: full q*q add/mul/neg/inv
+tables for q <= 512, exp/log tables of the least multiplicative generator
+for q <= 2^16, and raw polynomial arithmetic above that. Every field
+starts on the raw path, which is exact, and builds its tables only once
+it has done about as much work as building them costs. A field of q <=
+2^16 walks the exp/log tables (g^i in packed form, q - 1 multiplies) once
+its raw path has done as many packed multiplies. A field of q <= 512
+builds its q*q tables, from the exp/log tables, once it has done q*q of
+the operations they serve (add, sub, neg, mul and inv; a Mat product
+charges its n^3 terms on top of the scalar calls it makes), about what
+writing their entries costs. A field that hosts a handful of
+elements never pays for either; bulk work does at most q - 1 packed
+multiplies on the raw path and q*q operations off the q*q tables before
+it has them.
 
 A raw product works on a packed form of the code. For p = 2 the code
 already is the bit vector of the coefficients, and the product is a
@@ -102,6 +109,10 @@ def poly_scale(ctx: "FieldCtx", f: tuple[int, ...], s: int) -> tuple[int, ...]:
 def poly_divmod(
     ctx: "FieldCtx", f: tuple[int, ...], g: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    if ctx.m == 1:
+        p = ctx.p
+        quo, rem = _fp_divmod(p, _fp_rep(p, f), _fp_rep(p, g))
+        return _fp_tuple(p, quo), _fp_tuple(p, rem)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(f)
@@ -131,6 +142,9 @@ def poly_monic(ctx: "FieldCtx", f: tuple[int, ...]) -> tuple[int, ...]:
 
 def poly_gcd(ctx: "FieldCtx", f, g) -> tuple[int, ...]:
     """Monic gcd; gcd(f, 0) = monic(f)."""
+    if ctx.m == 1:
+        p = ctx.p
+        return _fp_tuple(p, _fp_gcd(p, _fp_rep(p, f), _fp_rep(p, g)))
     while g:
         f, g = g, poly_mod(ctx, f, g)
     return poly_monic(ctx, f)
@@ -202,6 +216,68 @@ def poly_deriv(ctx: "FieldCtx", f: tuple[int, ...]) -> tuple[int, ...]:
 def poly_is_squarefree(ctx: "FieldCtx", f: tuple[int, ...]) -> bool:
     """True iff f has no repeated irreducible factor (perfect base field)."""
     return poly_gcd(ctx, f, poly_deriv(ctx, f)) == (1,)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over a prime field on plain integers
+#
+# A prime field's codes are the residues 0..p-1, so its polynomials need no
+# context: poly_divmod and poly_gcd come here when ctx.m == 1, and so does
+# the modulus search. For p = 2 a polynomial is bit-packed (bit i holds the
+# coefficient of x^i), so subtracting a shifted divisor is one XOR and the
+# degree is bit_length() - 1; for odd p it is a trimmed list of residues,
+# constant term first, updated a slice at a time and reduced % p.
+
+
+def _fp_rep(p: int, f) -> int | list[int]:
+    """A coefficient sequence over F_p in the form _fp_divmod takes."""
+    if p == 2:
+        return int("".join(map(str, reversed(f))), 2) if f else 0
+    return list(poly_trim(f))
+
+
+def _fp_tuple(p: int, a: int | list[int]) -> tuple[int, ...]:
+    """Inverse of _fp_rep: the trimmed coefficient tuple."""
+    if p == 2:
+        return tuple(map(int, reversed(bin(a)[2:]))) if a else ()
+    return tuple(a)
+
+
+def _fp_divmod(p: int, a, b):
+    """Quotient and remainder of a by b != 0 over F_p, both in _fp_rep form."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if p == 2:
+        db = b.bit_length()
+        quo = 0
+        while (s := a.bit_length() - db) >= 0:
+            quo ^= 1 << s
+            a ^= b << s
+        return quo, a
+    rem = list(a)
+    db = len(b) - 1
+    low = b[:-1]
+    lead_inv = pow(b[-1], -1, p)
+    quo = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - db - 1, -1, -1):
+        c = rem.pop()  # the coefficient of x^(i + db), cancelled by c/lead * x^i * b
+        if c:
+            c = c * lead_inv % p
+            quo[i] = c
+            rem[i:i + db] = [(r - c * d) % p for r, d in zip(rem[i:i + db], low)]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+def _fp_gcd(p: int, a, b):
+    """Monic gcd over F_p of two polynomials in _fp_rep form; gcd(a, 0) = monic(a)."""
+    while b:
+        a, b = b, _fp_divmod(p, a, b)[1]
+    if p == 2 or not a or a[-1] == 1:
+        return a
+    lead_inv = pow(a[-1], -1, p)
+    return [c * lead_inv % p for c in a]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +429,7 @@ class FieldCtx(PackedRing):
     __slots__ = (
         "q", "name",
         "_add_tab", "_mul_tab", "_neg_tab", "_inv_tab",
-        "_exp", "_log", "_gen_code", "_raw_left",
+        "_exp", "_log", "_gen_code", "_raw_left", "_table_left",
     )
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -366,8 +442,10 @@ class FieldCtx(PackedRing):
         # packed multiplies the raw path may still do before the exp/log
         # table is walked: as many as the walk itself costs
         self._raw_left = self.q - 1 if self.q <= _LOG_Q else math.inf
-        if self.q <= _TABLE_Q:
-            self._build_small_tables()
+        # operations the q*q tables would serve (add, sub, neg, mul, inv, and
+        # the n^3 terms of a Mat product) that the field may do before it
+        # builds them: q*q, about the cost of writing their 2*q*q entries
+        self._table_left = self.q * self.q if self.q <= _TABLE_Q else math.inf
 
     # -- raw arithmetic on codes, through the packed ring -------------------
 
@@ -434,7 +512,8 @@ class FieldCtx(PackedRing):
 
     def _build_small_tables(self) -> None:
         p, q = self.p, self.q
-        self._build_exp_log()
+        if self._exp is None:
+            self._build_exp_log()
         exp, log = self._exp, self._log
         order = q - 1
         exp2, logs = exp + exp, log[1:]
@@ -469,24 +548,32 @@ class FieldCtx(PackedRing):
         t = self._add_tab
         if t is not None:
             return t[a * self.q + b]
+        if self.q <= _TABLE_Q and self._tables_due(1):
+            return self._add_tab[a * self.q + b]
         return self._add_raw(a, b)
 
     def neg(self, a: int) -> int:
         t = self._neg_tab
         if t is not None:
             return t[a]
+        if self.q <= _TABLE_Q and self._tables_due(1):
+            return self._neg_tab[a]
         return self._neg_raw(a)
 
     def sub(self, a: int, b: int) -> int:
         t = self._add_tab
         if t is not None:
             return t[a * self.q + self._neg_tab[b]]
+        if self.q <= _TABLE_Q and self._tables_due(1):
+            return self._add_tab[a * self.q + self._neg_tab[b]]
         return self._add_raw(a, self._neg_raw(b))
 
     def mul(self, a: int, b: int) -> int:
         t = self._mul_tab
         if t is not None:
             return t[a * self.q + b]
+        if self.q <= _TABLE_Q and self._tables_due(1):
+            return self._mul_tab[a * self.q + b]
         if self._exp is None and not self._walk_due(1):
             return self._mul_raw(a, b)
         if a == 0 or b == 0:
@@ -499,6 +586,8 @@ class FieldCtx(PackedRing):
         t = self._inv_tab
         if t is not None:
             return t[a]
+        if self.q <= _TABLE_Q and self._tables_due(1):
+            return self._inv_tab[a]
         return self._pow_unit(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -525,6 +614,15 @@ class FieldCtx(PackedRing):
         if self._raw_left > 0:
             return False
         self._build_exp_log()
+        return True
+
+    def _tables_due(self, cost: int) -> bool:
+        """Charge `cost` operations the q*q tables would serve and build the
+        tables once the field has done q*q of them. True when they exist."""
+        self._table_left -= cost
+        if self._table_left > 0:
+            return False
+        self._build_small_tables()
         return True
 
     def elements(self) -> range:
@@ -562,20 +660,24 @@ def _irreducible(p: int, f: tuple[int, ...]) -> bool:
     """Rabin's test for a monic f of degree m >= 2 over F_p: f is irreducible
     iff x^(p^m) = x mod f and gcd(f, x^(p^(m/l)) - x) = 1 for every prime
     l | m. The powers x^(p^i) are taken in the packed ring F_p[x]/f and the
-    gcds over F_p. The gcd at i = 1, a root in F_p, is taken too, since most
-    reducible candidates fail there."""
+    gcds over F_p on plain integers (_fp_gcd). The gcd at i = 1, a root in
+    F_p, is taken too, since most reducible candidates fail there."""
     ring = PackedRing(p, f)
-    prime_ctx = _field(p, 1)
     m = len(f) - 1
     x = ring._pack(p)
     checks = {1} | {m // ell for ell in _factorize(m)}
+    fp, one = _fp_rep(p, f), _fp_rep(p, (1,))
     t = x
     for i in range(1, m + 1):
         t = ring._pow_packed(t, p)
         if i in checks:
-            h = ring._decode(ring._unpack(t))
-            h[1] = (h[1] - 1) % p
-            if poly_gcd(prime_ctx, f, poly_trim(tuple(h))) != (1,):
+            if p == 2:
+                h = t ^ 2  # x^(2^i) + x, bit-packed like the code
+            else:
+                h = ring._decode(ring._unpack(t))
+                h[1] = (h[1] - 1) % p
+                h = _fp_rep(p, h)
+            if _fp_gcd(p, fp, h) != one:
                 return False
     return t == x
 

@@ -360,10 +360,15 @@ def _ord_mod(base: int, mod: int) -> int:
 
 def _mu_generator(big: FieldCtx, n: int) -> int:
     """Code of an element of exact multiplicative order n; least power base,
-    found early: x^((q-1)/n) has order n for a phi(n)/n share of units x."""
+    found early: x^((q-1)/n) has order n for a phi(n)/n share of units x.
+    The codes below p are F_p^x, whose cof-th powers form its subgroup of
+    order (p-1)/gcd(p-1, cof); when n does not divide that order every one
+    of them fails, and the scan starts at p."""
     cof = (big.q - 1) // n
     primes = _factorize(n)
-    for x in range(2, big.q):
+    p = big.p
+    start = 2 if (p - 1) // gcd(p - 1, cof) % n == 0 else p
+    for x in range(start, big.q):
         z = big.pow(x, cof)
         if z == 0 or big.pow(z, n) != 1:
             continue

@@ -173,6 +173,8 @@ class Mat:
         a = self.data
         b = other.data
         mt = ctx._mul_tab
+        if mt is None and ctx._tables_due(n * n * n):
+            mt = ctx._mul_tab
         out = [0] * (n * n)
         if mt is not None:
             at = ctx._add_tab

@@ -16,6 +16,7 @@ from zclasskit.ff import (
     FqElem,
     _as_code,
     _embed_code,
+    _factorize,
     _field,
     make_field,
     mult_generator,
@@ -342,6 +343,48 @@ def rcf_backtracking(A: Mat, facs=None) -> RcfResult:
     if transform * A * Y != form:
         raise ConsistencyError("rational-form transform failed verification")
     return RcfResult(form, transform)
+
+
+def poly_divmod_by_ctx(ctx: FieldCtx, f: tuple[int, ...], g: tuple[int, ...]):
+    """ff.poly_divmod through the context's arithmetic, one ctx.mul/ctx.sub
+    call per coefficient: the route every field took before prime fields
+    moved to plain integers."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(f)
+    dg = len(g) - 1
+    lead_inv = ctx.inv(g[-1])
+    quo = [0] * max(len(f) - dg, 0)
+    for i in range(len(rem) - 1, dg - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        factor = ctx.mul(c, lead_inv)
+        quo[i - dg] = factor
+        for j in range(dg + 1):
+            rem[i - dg + j] = ctx.sub(rem[i - dg + j], ctx.mul(factor, g[j]))
+    return poly_trim(tuple(quo)), poly_trim(tuple(rem))
+
+
+def poly_gcd_by_ctx(ctx: FieldCtx, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """ff.poly_gcd through the context's arithmetic; gcd(f, 0) = monic(f)."""
+    while g:
+        f, g = g, poly_divmod_by_ctx(ctx, f, g)[1]
+    return poly_monic(ctx, f)
+
+
+def mu_generator_by_scan(big: FieldCtx, n: int) -> int:
+    """galh1._mu_generator before it skipped the prime field: x^((q-1)/n)
+    for x = 2, 3, ... until one has exact order n."""
+    cof = (big.q - 1) // n
+    primes = _factorize(n)
+    for x in range(2, big.q):
+        z = big.pow(x, cof)
+        if z == 0 or big.pow(z, n) != 1:
+            continue
+        if all(big.pow(z, n // pr) != 1 for pr in primes):
+            return z
+    raise ConsistencyError(f"no element of order {n} found in F_{big.name}")
 
 
 def irreducible_by_pow_mod(prime_ctx: FieldCtx, f: tuple[int, ...]) -> bool:

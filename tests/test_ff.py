@@ -26,6 +26,7 @@ from zclasskit.ff import (
     poly_roots,
     power_class_count,
 )
+from zclasskit.matfq import Mat
 
 from reference import (
     big_field,
@@ -33,6 +34,8 @@ from reference import (
     frobenius,
     irreducible_by_pow_mod,
     norm,
+    poly_divmod_by_ctx,
+    poly_gcd_by_ctx,
     roots_by_scan,
 )
 
@@ -114,6 +117,73 @@ def test_packed_search_agrees_with_pow_mod_route_on_every_monic(p, m):
     prime = make_field(p, 1)
     for f in _all_monics(p, m):
         assert ff._irreducible(p, f) == irreducible_by_pow_mod(prime, f), f
+
+
+# the prime fields of the integer gcd kernel: p = 2 bit-packed, odd p on
+# lists, and primes either side of the 8-bit and 9-bit lines
+GCD_PRIMES = [2, 3, 5, 7, 13, 251, 509]
+
+
+def _random_poly(rng: random.Random, p: int, top: int) -> tuple[int, ...]:
+    return ff.poly_trim(tuple(rng.randrange(p) for _ in range(rng.randrange(top + 1))))
+
+
+def _gcd_cases(p: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Seeded pairs (f, g) over F_p, a third of them with g | f, then the edges:
+    zero, constants, equal degrees, a non-monic divisor, exact division."""
+    prime = make_field(p, 1)
+    rng = random.Random(1000 + p)
+    cases = []
+    for k in range(150):
+        f, g = _random_poly(rng, p, 14), _random_poly(rng, p, 9)
+        if k % 3 == 0:
+            f = poly_mul(prime, f, g)
+        cases.append((f, g))
+    lead = p - 1 if p > 2 else 1
+    cases += [
+        ((), ()), ((), (1,)), ((1,), ()), ((), (0, 1)), ((0, 1), ()),
+        ((lead,), (1,)), ((1,), (lead,)), ((lead,), (lead,)),
+        ((1, 2 % p, 1), (1, 1, 1)), ((lead, 1, lead), (1, lead, 1)),
+        ((1, 0, 0, 1), (1, 1)), ((0, 0, 1), (0, lead)),
+        (poly_mul(prime, (1, 1), (lead, 0, lead)), (lead, 0, lead)),
+        (poly_mul(prime, (2 % p, 1, 1), (1, 1)), (1, 1)),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("p", GCD_PRIMES)
+def test_integer_gcd_kernel_agrees_with_the_context_route(p, monkeypatch):
+    prime = make_field(p, 1)
+    cases = _gcd_cases(p)
+    expected = [
+        (poly_divmod_by_ctx(prime, f, g) if g else None, poly_gcd_by_ctx(prime, f, g))
+        for f, g in cases
+    ]
+
+    # the kernel makes no context call at all
+    def refused(*args):
+        raise AssertionError("a prime-field gcd called the field context")
+
+    for name in ("add", "sub", "neg", "mul", "inv", "pow"):
+        monkeypatch.setattr(ff.FieldCtx, name, refused)
+    for (f, g), (divmod_, gcd_) in zip(cases, expected):
+        if g:
+            assert ff.poly_divmod(prime, f, g) == divmod_, (f, g)
+            assert poly_mod(prime, f, g) == divmod_[1], (f, g)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                ff.poly_divmod(prime, f, g)
+        assert poly_gcd(prime, f, g) == gcd_, (f, g)
+
+
+def test_known_remainders_trim_to_nothing():
+    F5 = make_field(5, 1)
+    # x^2 - 1 = (x - 1)(x + 1) with a non-monic divisor 2x + 2
+    assert ff.poly_divmod(F5, (4, 0, 1), (2, 2)) == ((2, 3), ())
+    assert poly_gcd(F5, (4, 0, 1), (2, 2)) == (1, 1)
+    F2 = make_field(2, 1)
+    assert ff.poly_divmod(F2, (1, 0, 0, 1), (1, 1)) == ((1, 1, 1), ())
+    assert ff.poly_divmod(F2, (1, 1), (1, 0, 1)) == ((), (1, 1))
 
 
 def test_make_field_is_cached_singleton():
@@ -257,9 +327,21 @@ def _reference_mul(ctx, a, b):
     return ctx.encode(prod + (0,) * (ctx.m - len(prod)))
 
 
+def _fresh(p: int, m: int):
+    """A context of F_{p^m} on the canonical modulus, outside the field cache."""
+    return ff.FieldCtx(p, m, make_field(p, m).modulus)
+
+
+def _with_tables(p: int, m: int):
+    """A fresh context of F_{p^m} whose q*q tables are built up front."""
+    ctx = _fresh(p, m)
+    ctx._build_small_tables()
+    return ctx
+
+
 @pytest.mark.parametrize("p,m", TABLE_FIELDS, ids=lambda v: str(v))
 def test_raw_mul_agrees_with_tables(p, m):
-    ctx = make_field(p, m)
+    ctx = _with_tables(p, m)
     q = ctx.q
     raw, table = ctx._mul_raw, ctx._mul_tab
     if m == 1 and p > 100:
@@ -273,11 +355,72 @@ def test_raw_mul_agrees_with_tables(p, m):
 @pytest.mark.parametrize("p,m", [f for f in TABLE_FIELDS if f[1] >= 2 or f[0] < 20],
                          ids=lambda v: str(v))
 def test_add_and_neg_tables_agree_with_raw(p, m):
-    ctx = make_field(p, m)
+    ctx = _with_tables(p, m)
     q = ctx.q
     for a in range(q):
         assert [ctx._add_raw(a, b) for b in range(q)] == ctx._add_tab[a * q:(a + 1) * q], a
     assert [ctx._neg_raw(a) for a in range(q)] == ctx._neg_tab
+
+
+# table fields on both sides of the p = 2 / odd split and of m = 1, up to
+# F_121, whose q*q = 14641 operations keep a crossing sequence short
+LAZY_TABLE_FIELDS = [(2, 1), (3, 1), (2, 3), (3, 2), (5, 1), (13, 1), (2, 5), (3, 3), (11, 2)]
+
+
+@pytest.mark.parametrize("p,m", LAZY_TABLE_FIELDS, ids=lambda v: str(v))
+def test_table_tier_builds_its_tables_after_q_squared_operations(p, m):
+    ctx = _fresh(p, m)
+    q = ctx.q
+    assert ctx._mul_tab is None and ctx._add_tab is None and ctx._exp is None
+    for k in range(q * q - 1):
+        ctx.add(k % q, 1)
+    assert ctx._mul_tab is None
+    ctx.mul(1, 1)  # the q*q-th operation the tables would serve
+    assert None not in (ctx._add_tab, ctx._mul_tab, ctx._neg_tab, ctx._inv_tab)
+
+
+def _mixed_answers(ctx, steps: int):
+    """One seeded sequence of add/sub/neg/mul/inv/pow calls and 3x3 Mat
+    products, answer by answer."""
+    rng = random.Random(ctx.q)
+    q = ctx.q
+    for _ in range(steps):
+        a, u = rng.randrange(q), rng.randrange(1, q)
+        kind = rng.randrange(7)
+        if kind == 0:
+            yield ctx.add(a, u)
+        elif kind == 1:
+            yield ctx.sub(a, u)
+        elif kind == 2:
+            yield ctx.neg(a)
+        elif kind == 3:
+            yield ctx.mul(a, u)
+        elif kind == 4:
+            yield ctx.inv(u)
+        elif kind == 5:
+            yield ctx.pow(u, rng.randrange(-q, 2 * q))
+        else:
+            A = Mat(ctx, 3, [rng.randrange(q) for _ in range(9)])
+            B = Mat(ctx, 3, [rng.randrange(q) for _ in range(9)])
+            yield (A * B).data
+
+
+@pytest.mark.parametrize("p,m", LAZY_TABLE_FIELDS, ids=lambda v: str(v))
+def test_answers_do_not_change_when_the_tables_are_built(p, m):
+    lazy, eager = _fresh(p, m), _with_tables(p, m)
+    q = lazy.q
+    # a step charges about 12 operations on average (a Mat product 27 terms,
+    # then 54 scalar calls), so the build falls well inside the sequence
+    steps = q * q // 4 + 20
+    built_at = None
+    pairs = zip(_mixed_answers(lazy, steps), _mixed_answers(eager, steps))
+    for i, (got, expected) in enumerate(pairs):
+        assert got == expected, i
+        if built_at is None and lazy._mul_tab is not None:
+            built_at = i
+    assert built_at is not None
+    if q * q > 81:  # more than one Mat product's charge: some answers came first
+        assert built_at > 0
 
 
 @pytest.mark.parametrize("p,m", RAW_FIELDS, ids=lambda v: str(v))
@@ -304,11 +447,6 @@ def _walk_by_multiplying(ctx) -> int:
         a = ctx.mul(a, ctx.p)
         steps += 1
     return steps
-
-
-def _fresh(p: int, m: int):
-    """A context of F_{p^m} on the canonical modulus, outside the field cache."""
-    return ff.FieldCtx(p, m, make_field(p, m).modulus)
 
 
 @pytest.mark.parametrize("p,m", EXP_LOG_FIELDS, ids=lambda v: str(v))

@@ -1,14 +1,19 @@
 """Tests for twisted conjugacy, cocycles, and the mu_n class count."""
 import itertools
 import operator
+from collections import Counter
+from dataclasses import dataclass
 from math import gcd
 
 import pytest
 
-from zclasskit import limits
+from zclasskit import ff, limits
 from zclasskit.errors import BoundExceeded
-from zclasskit.ff import make_field, mult_generator, power_class_count
+from zclasskit.ff import _field, make_field, mult_generator, power_class_count, prime_power
 from zclasskit.galh1 import (
+    _mu_generator,
+    _ord_mod,
+    _prime_to_p_part,
     Cocycle,
     FieldCtx,
     cocycle_check,
@@ -35,6 +40,8 @@ from zclasskit.grpcore import (
 )
 from zclasskit.matfq import Mat, mat_embed, mat_frobenius, sl_conjugate_test
 from zclasskit.zclass import fusion_count
+
+from reference import mu_generator_by_scan
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -510,6 +517,114 @@ def test_h1_realizing_fields_skip_the_field_bound(monkeypatch):
     assert (res.realizing_degree, res.size) == (2, 6)
     with pytest.raises(BoundExceeded, match="ZK_MAX_FIELD"):
         make_field(7, 2)
+
+
+# ---------------------------------------------------------------------------
+# the h1 grid: field construction under h1_mu_n
+
+# every q of the twisted-grid benchmark workload with n = 1..16, kept where
+# the doubled realizing field stays within H1_FIELD_CAP
+GRID_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+def _grid():
+    for q in GRID_QS:
+        p, _ = prime_power(q)
+        for n in range(1, 17):
+            np_ = _prime_to_p_part(n, p)
+            r = _ord_mod(q, np_) if np_ > 1 else 1
+            if q ** (2 * r) <= limits.H1_FIELD_CAP:
+                yield q, n, p, np_, r
+
+
+@dataclass
+class GridRun:
+    fields: dict  # (p, m) -> every field the grid built, from an empty cache
+    ops: Counter  # field -> its add/sub/neg/mul/inv/pow calls
+    served: Counter  # field -> its add/sub/neg/mul/inv calls once its q*q tables existed
+    searches: int  # modulus searches run
+    search_calls: int  # field arithmetic calls made inside a modulus search
+
+
+@pytest.fixture(scope="module")
+def grid_run():
+    run = GridRun({}, Counter(), Counter(), 0, 0)
+    depth = [0]
+    least = ff._least_irreducible
+
+    def searched(p, m):
+        run.searches += 1
+        depth[0] += 1
+        try:
+            return least(p, m)
+        finally:
+            depth[0] -= 1
+
+    def counted(method, name):
+        def call(self, *args):
+            run.ops[self] += 1
+            run.search_calls += depth[0] > 0
+            if name != "pow" and self._mul_tab is not None:
+                run.served[self] += 1
+            return method(self, *args)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ff, "_FIELDS", run.fields)
+        mp.setattr(ff, "_least_irreducible", searched)
+        for name in ("add", "sub", "neg", "mul", "inv", "pow"):
+            mp.setattr(ff.FieldCtx, name, counted(getattr(ff.FieldCtx, name), name))
+        for q, n, *_ in _grid():
+            assert h1_mu_n(q, n).size == gcd(n, q - 1)
+    return run
+
+
+def test_grid_builds_no_table_that_serves_fewer_operations_than_its_entries(grid_run):
+    built = [ctx for ctx in grid_run.fields.values() if ctx._mul_tab is not None]
+    assert built  # the small fields of the grid do earn their tables
+    for ctx in built:
+        assert grid_run.served[ctx] >= ctx.q * ctx.q, ctx
+    assert all(ctx.q <= 512 for ctx in built)
+
+
+def test_grid_leaves_f343_without_tables(grid_run):
+    ctx = grid_run.fields[(7, 3)]
+    assert 0 < grid_run.ops[ctx] < ctx.q * ctx.q
+    assert ctx._mul_tab is None and ctx._add_tab is None and ctx._inv_tab is None
+
+
+def test_grid_modulus_searches_make_no_field_calls(grid_run):
+    assert grid_run.searches > 0
+    assert grid_run.search_calls == 0
+
+
+def test_mu_generator_matches_the_old_scan_on_the_grid():
+    seen = set()
+    for q, n, p, np_, r in _grid():
+        m = prime_power(q)[1]
+        for degree in (r, 2 * r):
+            big = _field(p, m * degree)
+            if np_ > 1 and (big, np_) not in seen:
+                seen.add((big, np_))
+                assert _mu_generator(big, np_) == mu_generator_by_scan(big, np_), (big, np_)
+    assert len(seen) > 50
+
+
+def test_mu_generator_skips_the_prime_field(monkeypatch):
+    # in F_{q^2} the square-class power x^((q^2-1)/2) sends F_q^x to 1, so
+    # the old scan tried all q - 2 codes below q before the first that works
+    q = 131071
+    big = _field(q, 2)
+    calls = []
+    pow_ = ff.FieldCtx.pow
+
+    def counted(self, a, e):
+        calls.append(a)
+        return pow_(self, a, e)
+
+    monkeypatch.setattr(ff.FieldCtx, "pow", counted)
+    assert _mu_generator(big, 2) == q - 1
+    assert len(calls) < 100
 
 
 # ---------------------------------------------------------------------------
