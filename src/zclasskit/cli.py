@@ -31,7 +31,6 @@ from .matfq import gl_conjugate_test, mat_literal, sl_conjugate_test
 from .paperlab import FAIL, run_experiment, verify_suite
 from .zclass import (
     base_change_probe,
-    group_label,
     regular_semisimple_filter,
     regular_unipotent_filter,
     unipotent_filter,
@@ -94,7 +93,7 @@ def _cmd_centralizer(args):
         ) from None
     z = centralizer(table, gid)
     payload = {
-        "group": group_label(table),
+        "group": table.label,
         "element": mat_literal(g),
         "order": z.order,
         "abelian": z.is_abelian(),
@@ -139,7 +138,7 @@ def _cmd_conjtest(args):
         wid = element_conjugator(table, table.id_of(a), table.id_of(b))
         witness = None if wid is None else table.mat_of(wid)
         route = "table-scan"
-        label = group_label(table)
+        label = table.label
     payload = {
         "group": label,
         "first": mat_literal(a),
@@ -195,7 +194,7 @@ def _cmd_h1(args):
         ext = make_field(ctx.p, ctx.m * r)
         table = instantiate(spec, ext)
         carrier = twisted_from_matrices(
-            [table.mat_of(i) for i in table.ids()],
+            table.elements,
             ctx,
             r,
             gens=whole_group(table).gens,

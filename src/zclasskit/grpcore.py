@@ -2,7 +2,9 @@
 
 A family's table enumerates nothing: an element's id is its rank in the
 lexicographic order of the codes, and the table turns ids into matrices
-and back on demand. Class and subgroup work runs on element ids: each
+and back on demand, so it answers order and membership at any order.
+Class and subgroup work runs on element ids, and ZK_MAX_GROUP bounds
+only that work, which keeps state per element or visits every id: each
 conjugation orbit is walked once under the table's small generating set,
 recording a Schreier tree, so every member b of the orbit of its root r
 has a transversal t_b with t_b r t_b^-1 = b. A root's centralizer is its
@@ -90,8 +92,7 @@ def family_order(spec: FamilySpec, ctx: FieldCtx) -> int:
         return 2 * n
     if kind in (GL, SL):
         return math.prod(q**n - q**i for i in range(n)) // (q - 1 if kind == SL else 1)
-    units = {BOREL_GL: n, BOREL_SL: n - 1}.get(kind, 0)  # free diagonal entries
-    return (q - 1) ** units * q ** (n * (n - 1) // 2)
+    return math.prod(radix for _, radix, _ in _TriangularRanks(ctx, n, kind).free)
 
 
 def parse_group_spec(text: str):
@@ -252,11 +253,14 @@ class GroupTable:
     A ranked table (GL, SL, Borel, unitriangular, Heisenberg) enumerates
     nothing: an id is the element's rank in the lexicographic order of the
     codes, computed from the element and back, and a memo (data -> id,
-    id -> Mat) keeps the elements touched. A table of an explicit list
+    id -> Mat) keeps the elements touched, so its order, membership,
+    id_of/mat_of and center come at any order. A table of an explicit list
     (closure_generate, dihedral) holds the list in its memo. The table also
     keeps the class engine's state: the conjugation orbits walked so far
     (a root id per element and a Schreier tree of parent id and generator
     index, arrays allocated on the first walk) and the centralizers.
+    ZK_MAX_GROUP bounds only the work that keeps state per element or
+    visits every id (_check_bound).
     """
 
     __slots__ = (
@@ -297,14 +301,22 @@ class GroupTable:
     def elements(self) -> tuple[Mat, ...]:
         """Every element in id order; a ranked table unranks them all on first read."""
         if self._elements is None:
-            self._elements = tuple(map(self.mat_of, range(self.order)))
+            self._elements = tuple(map(self.mat_of, self.ids()))
         return self._elements
 
     @property
-    def index(self) -> dict:
-        """data -> id of every element, which a ranked table unranks first."""
-        _ = self.elements
-        return self._ids
+    def label(self) -> str:
+        return f"{self.family.label() if self.family else 'closure'}@{self.ctx.name}"
+
+    def _check_bound(self) -> None:
+        """Refuse, before any of it, work that keeps state per element or
+        visits every id, when the order exceeds limits.max_group()."""
+        bound = limits.max_group()
+        if self.order > bound:
+            raise BoundExceeded(
+                f"{self.label} has order {self.order}, above bound {bound} "
+                "(ZK_MAX_GROUP / --max-group)"
+            )
 
     @property
     def identity_id(self) -> int:
@@ -337,18 +349,19 @@ class GroupTable:
         return self._find(mat) is not None
 
     def ids(self) -> range:
+        self._check_bound()
         return range(self.order)
 
     def __len__(self) -> int:
         return self.order
 
     def __repr__(self) -> str:
-        label = self.family.label() if self.family else "closure"
-        return f"GroupTable({label}@{self.ctx.name}, order {self.order})"
+        return f"GroupTable({self.label}, order {self.order})"
 
     def _reached(self) -> int:
         """How many elements the generators reach from the identity: the
         key_orbits walk of closure_generate, on ids."""
+        self._check_bound()
         mat_of, id_of = self.mat_of, self.id_of
         moves = [lambda x, g=g: id_of(mat_of(x) * g) for g in self.gens]
         try:
@@ -375,22 +388,6 @@ class GroupTable:
             raise ConsistencyError(f"generators reach {reached} of {self.order} elements")
         self._gens_certified = True
         return switched
-
-
-class VirtualGroup:
-    """Order and membership for a family too large to tabulate."""
-
-    __slots__ = ("family", "ctx", "n", "order")
-
-    def __init__(self, family: FamilySpec, ctx: FieldCtx):
-        self.family, self.ctx, self.n = family, ctx, family.matrix_dim
-        self.order = family_order(family, ctx)
-
-    def contains(self, mat: Mat) -> bool:
-        return _family_member(self.family, self.ctx, mat)
-
-    def __repr__(self) -> str:
-        return f"VirtualGroup({self.family.label()}@{self.ctx.name}, order {self.order})"
 
 
 def _family_member(spec: FamilySpec, ctx: FieldCtx, mat: Mat) -> bool:
@@ -534,29 +531,22 @@ class _TriangularRanks:
 
 
 def instantiate(spec: FamilySpec, ctx: FieldCtx | None = None) -> GroupTable:
-    """The group table of a family: ranked, so nothing is enumerated, but
-    for the dihedral table, which lists its elements sorted by encoding.
-
-    Raises BoundExceeded before any work when the closed-form order
-    exceeds limits.max_group() (ZK_MAX_GROUP / --max-group). The dihedral
-    family picks its own field (least q with m | q - 1) when ctx is
-    omitted; every other family requires an explicit context.
+    """The group table of a family: ranked, so nothing is enumerated and
+    any order is taken, but for the dihedral table, which lists its
+    elements sorted by encoding, capped like closure_generate at
+    limits.max_group() (ZK_MAX_GROUP / --max-group). The dihedral family
+    picks its own field (least q with m | q - 1) when ctx is omitted;
+    every other family requires an explicit context.
     """
     if ctx is None:
         if spec.kind != DIHEDRAL:
             raise ValueError(f"family {spec.kind!r} needs a field context")
         ctx = dihedral_context(spec.n)
     _check_guard(spec, ctx)
-    expected = family_order(spec, ctx)
-    bound = limits.max_group()
-    if expected > bound:
-        raise BoundExceeded(
-            f"{spec.label()}@{ctx.name} has order {expected}, above bound {bound} "
-            "(ZK_MAX_GROUP / --max-group)"
-        )
     if spec.kind == DIHEDRAL:  # the orbit of I under right multiplication by the generators
         gens = list(dihedral_generators(spec.n, ctx))
-        members = next(key_orbits([Mat.identity(ctx, 2)], [lambda x, g=g: x * g for g in gens]))
+        moves = [lambda x, g=g: x * g for g in gens]
+        members = next(key_orbits([Mat.identity(ctx, 2)], moves, limits.max_group()))
         return GroupTable(spec, ctx, sorted(members, key=lambda m: m.data), gens)
     if spec.kind in (GL, SL):
         gens, fallback = _linear_generators(spec, ctx)
@@ -624,11 +614,8 @@ def closure_generate(ctx: FieldCtx, gens) -> GroupTable:
 
 
 class Subgroup:
-    """A verified subgroup: sorted members, greedy generators, Lagrange check.
-
-    parent may be a GroupTable or a VirtualGroup; ids are available only
-    under a real table.
-    """
+    """A verified subgroup of a GroupTable: sorted members, greedy
+    generators, Lagrange check."""
 
     __slots__ = ("parent", "members", "member_set", "gens", "_pivot")
 
@@ -647,8 +634,6 @@ class Subgroup:
 
     @property
     def member_ids(self) -> tuple[int, ...]:
-        if not isinstance(self.parent, GroupTable):
-            raise TypeError("ids need a tabulated parent group")
         return tuple(sorted(self.parent.id_of(m) for m in self.members))
 
     def contains(self, mat: Mat) -> bool:
@@ -722,8 +707,8 @@ def key_orbits(seeds, moves, cap: int | None = None):
     generate the action of a finite group, so walking forward reaches the
     whole orbit and no two orbits meet; a walk that runs into an earlier
     orbit raises ConsistencyError. An orbit growing past cap points raises
-    BoundExceeded: the cap is the group-order bound, since an orbit is no
-    larger than the group acting.
+    BoundExceeded before it lists the point past the cap: the cap is the
+    group-order bound, since an orbit is no larger than the group acting.
     """
     owner: dict = {}  # point -> number of the orbit that reached it
     number = 0
@@ -737,12 +722,12 @@ def key_orbits(seeds, moves, cap: int | None = None):
                 y = move(x)
                 k = owner.get(y)
                 if k is None:
-                    owner[y] = number
-                    orbit.append(y)
-                    if cap is not None and len(orbit) > cap:
+                    if cap is not None and len(orbit) == cap:
                         raise BoundExceeded(
                             f"orbit exceeded bound {cap} (ZK_MAX_GROUP / --max-group)"
                         )
+                    owner[y] = number
+                    orbit.append(y)
                 elif k != number:
                     raise ConsistencyError("orbits of the moves overlap")
         number += 1
@@ -764,6 +749,7 @@ def _walk(table: GroupTable, seed: int) -> int:
 
     root = table._orbit_root
     if root is None:
+        table._check_bound()
         root = table._orbit_root = array("i", [-1]) * table.order
         table._orbit_parent = array("i", [0]) * table.order
         table._orbit_gen = array("i", [0]) * table.order

@@ -1,8 +1,11 @@
 """The one registry of resource bounds; no function takes a bound of its own.
 
-ZK_MAX_GROUP (default 2e6) bounds the order of the tables instantiate(),
-closure_generate() and a seed partition's table build; ZK_MAX_FIELD
-(default 2^20) the fields make_field() builds.
+ZK_MAX_GROUP (default 2e6) bounds the group work that keeps state per
+element or visits every id (GroupTable._check_bound: the class engine's
+orbit walks, generator certification, elements and ids) and the explicit
+lists of closure_generate() and the dihedral instantiate(); a ranked
+table answers its order, membership and center at any order.
+ZK_MAX_FIELD (default 2^20) bounds the fields make_field() builds.
 Each is read from the invocation's flag (the command line puts
 --max-group and --max-field in INVOCATION for the whole command), else
 the environment variable, else the default.

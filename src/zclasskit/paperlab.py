@@ -25,7 +25,6 @@ from .grpcore import (
     DIHEDRAL,
     UNIPOTENT,
     FamilySpec,
-    VirtualGroup,
     centralizer,
     conjugacy_classes,
     family_order,
@@ -316,7 +315,7 @@ def _run_tori_gln(n: int, q: int) -> tuple[object, dict]:
 def _weyl_class_count(n: int, q: int) -> int:
     """Conjugacy classes of the split-torus normalizer quotient in GL_n."""
     ctx = parse_field(str(q))
-    parent = VirtualGroup(FamilySpec(GL, n), ctx)
+    parent = instantiate(FamilySpec(GL, n), ctx)
     diag = subgroup_from_members(parent, _diagonal_members(ctx, n))
     mono = subgroup_from_members(parent, _monomial_members(ctx, n))
     return quotient(mono, diag).conjugacy_class_count()
@@ -367,7 +366,7 @@ def _run_curious(n: int, q: int, allow_bad_characteristic: bool) -> tuple[object
     ctx = parse_field("2")
     spec = FamilySpec(SL, n, allow_bad_characteristic=allow_bad_characteristic)
     table = instantiate(spec, ctx)
-    torus = {m for i in table.ids() if _is_diagonal(m := table.mat_of(i))}
+    torus = {m for m in table.elements if _is_diagonal(m)}
     hits = sum(
         1
         for i in table.ids()

@@ -13,21 +13,22 @@ stabilize (two consecutive degrees agree) or are reported unstable; no
 claim is made beyond the certified range.
 
 Two computation routes coexist. The table route instantiates the group
-and scans; it works for any family within the size bound. The structural
-route works in GL/SL ambients for scalar or regular elements (those with
-one invariant factor, whose commutant algebra has the minimal dimension
-n): there the centralizer is the unit group of the commutant, and
-centralizer conjugacy reduces to conjugacy of the commutants. An
-element's type (the degree and exponent partition of each irreducible
-factor of its characteristic polynomial) keys its z-class: in GL the type
-is the key, whatever the element, and in SL a regular type splits by a
-determinant class (matfq.det_class). So a structural pair of different
-types is answered without a walk, and a seed partition groups GL seeds,
-and scalar or regular SL seeds, by key; other SL seeds take the table
-route. Fusion counts decide GL classes by invariant factors and SL ones
-by matfq.sl_conjugate, with no witness. The routes are cross-validated
-against each other wherever both apply. Growth degrees read GL/SL
-centralizer orders in closed form from the element's type.
+and walks its classes; it works for any family, and ZK_MAX_GROUP bounds
+its walks. The structural route works in GL/SL ambients for scalar or
+regular elements (those with one invariant factor, whose commutant
+algebra has the minimal dimension n): there the centralizer is the unit
+group of the commutant, and centralizer conjugacy reduces to conjugacy
+of the commutants. An element's type (the degree and exponent partition
+of each irreducible factor of its characteristic polynomial) keys its
+z-class: in GL the type is the key, whatever the element, and in SL a
+regular type splits by a determinant class (matfq.det_class). So a
+structural pair of different types is answered without a walk, and a
+seed partition groups GL seeds, and scalar or regular SL seeds, by key;
+other SL seeds take the table route. Fusion counts decide GL classes by
+invariant factors and SL ones by matfq.sl_conjugate, with no witness.
+The routes are cross-validated against each other wherever both apply.
+Growth degrees read GL/SL centralizer orders in closed form from the
+element's type.
 """
 from __future__ import annotations
 
@@ -44,12 +45,11 @@ from .grpcore import (
     FamilySpec,
     GroupTable,
     Subgroup,
-    VirtualGroup,
     _check_guard,
+    _family_member,
     center,
     centralizer,
     conjugacy_classes,
-    family_order,
     instantiate,
     subgroups_conjugate,
 )
@@ -70,11 +70,6 @@ from .matfq import (
     sl_conjugate,
     sl_conjugate_test,
 )
-
-
-def group_label(table: GroupTable) -> str:
-    fam = table.family.label() if table.family is not None else "closure"
-    return f"{fam}@{table.ctx.name}"
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +108,7 @@ class ZPartition:
         """Each block with its centralizer's invariants, computed here: only
         rendered output pays for element orders."""
         return {
-            "group": group_label(self.table),
+            "group": self.table.label,
             "zclass_count": self.zclass_count,
             "blocks": [
                 {
@@ -194,8 +189,10 @@ def z_partition(
     are tested on each class rep only, any other predicate on the members
     until one matches. Without one the group must be small enough to scan
     in full, and the partition-level invariants (identity block = center,
-    single block iff abelian) are re-verified.
+    single block iff abelian) are re-verified. Every class is walked, so
+    a table above ZK_MAX_GROUP is refused first.
     """
+    table._check_bound()
     if element_filter is None and table.order > limits.FULL_TABLE_LIMIT:
         raise BoundExceeded(
             f"full partition of a group of order {table.order} exceeds "
@@ -248,7 +245,7 @@ def _member(table: GroupTable, x) -> Mat:
     """x as a Mat of the table; ValueError naming x when it is not a member."""
     m = _as_mat(table, x)
     if not table.contains(m):
-        raise ValueError(f"element {mat_literal(m)} is not a member of {group_label(table)}")
+        raise ValueError(f"element {mat_literal(m)} is not a member of {table.label}")
     return m
 
 
@@ -419,8 +416,8 @@ def fusion_count(
 
     GL ambients compare invariant factors, which do not depend on the
     field, and SL ones take sl_conjugate on the embedded pair, so no
-    element is tried; other families fall back to an extended table
-    within the size bound.
+    element is tried; other families fall back to the classes of an
+    extended table, whose walks ZK_MAX_GROUP bounds.
     """
     if r < 1:
         raise ValueError("extension degree must be positive")
@@ -500,7 +497,7 @@ def growth_degree(
         raise ValueError("need a nonempty list of positive degrees")
     if not isinstance(g, Mat):
         raise ValueError("growth sampling takes an explicit matrix")
-    if not VirtualGroup(family, ctx).contains(g):
+    if not _family_member(family, ctx, g):
         raise ValueError(f"element {mat_literal(g)} is not a member of {family.label()}@{ctx.name}")
     orders = []
     for r in degs:
@@ -576,8 +573,8 @@ def _seed_partition(
     lead the first seed of s's type: the rational-form witness
     _gl_witness(s, lead) when their invariant factors (kept on each seed)
     agree, else the walk of F_q[s] in structural_z_equivalent. No SL pair
-    is tested, no table built. Otherwise the table route, within
-    ZK_MAX_GROUP."""
+    is tested, no table built. Otherwise the table route: _refine by
+    z_equivalent, whose walks are bounded by ZK_MAX_GROUP."""
     if family.kind == GL or (family.kind == SL and all(
         s.is_scalar() or len(invariant_factors(s)) == 1 for s in seeds_up
     )):
@@ -592,14 +589,8 @@ def _seed_partition(
                 key = (key, det_class(key, x))
             blocks.setdefault(key, []).append(i)
         return tuple(tuple(b) for b in blocks.values())
-    order = family_order(family, ext)
-    if order <= limits.max_group():
-        tbl = instantiate(family, ext)
-        return _refine(seeds_up, lambda a, b: z_equivalent(tbl, a, b) is not None)
-    raise BoundExceeded(
-        f"{family.label()} over F_{ext.name} has order {order}, beyond both routes "
-        "(ZK_MAX_GROUP / --max-group)"
-    )
+    tbl = instantiate(family, ext)
+    return _refine(seeds_up, lambda a, b: z_equivalent(tbl, a, b) is not None)
 
 
 def geometric_stabilize(

@@ -21,7 +21,6 @@ from zclasskit import (
     BOREL_SL,
     FamilySpec,
     Mat,
-    VirtualGroup,
     centralizer,
     cocycle_check,
     cocycle_of_form,
@@ -78,7 +77,7 @@ def _monomial_members(ctx, n):
 
 
 def _weyl_count(n: int, ctx) -> int:
-    parent = VirtualGroup(FamilySpec(GL, n), ctx)
+    parent = instantiate(FamilySpec(GL, n), ctx)
     diag = subgroup_from_members(parent, _diagonal_members(ctx, n))
     mono = subgroup_from_members(parent, _monomial_members(ctx, n))
     return quotient(mono, diag).conjugacy_class_count()
@@ -245,7 +244,7 @@ def test_criterion_08_cocycle_soundness():
         coboundaries = {T.mul(T.inv(b), T.frob(b)) for b in T.elements}
         assert c not in coboundaries
 
-        parent = VirtualGroup(FamilySpec(GL, 2), ext)
+        parent = instantiate(FamilySpec(GL, 2), ext)
         diag = subgroup_from_members(parent, _diagonal_members(ext, 2))
         mono = subgroup_from_members(parent, _monomial_members(ext, 2))
         weyl = twisted_from_quotient(quotient(mono, diag), ctx, 2)

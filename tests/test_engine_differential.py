@@ -41,7 +41,7 @@ class Cayley:
     """Products of ids, from the right-multiplication permutations of gens."""
 
     def __init__(self, table, gens):
-        index = table.index
+        index = {m.data: i for i, m in enumerate(table.elements)}
         right = [[index[(m * g).data] for m in table.elements] for g in gens]
         ident = table.identity_id
         cols = {ident: list(table.ids())}  # cols[y][x] = id of x * y
@@ -171,8 +171,9 @@ def test_sl3_f4_classes_and_regular_unipotent_centralizers():
     # the fallback set, not the pair the engine walks, so the reference
     # orbits come from different generators
     _, fallback = _linear_generators(FamilySpec(SL, 3), F4)
-    assert len(closure_walk([table.mat_of(table.identity_id)], fallback, table.index)) == 60480
-    index, elements = table.index, table.elements
+    elements = table.elements
+    index = {m.data: i for i, m in enumerate(elements)}
+    assert len(closure_walk([table.mat_of(table.identity_id)], fallback, index)) == 60480
     conj = [[index[(g * m * gi).data] for m in elements] for g, gi in
             ((g, g.inverse()) for g in fallback)]
     orbits = []

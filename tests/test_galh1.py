@@ -30,7 +30,6 @@ from zclasskit.grpcore import (
     GL,
     SL,
     FamilySpec,
-    VirtualGroup,
     centralizer,
     conjugacy_classes,
     instantiate,
@@ -168,7 +167,7 @@ def _identity_twist_table(spec_text):
 def _weyl_quotient(ctx, n):
     """N/T for the split torus T of GL_n over ctx and its normalizer N,
     the monomial matrices."""
-    virt = VirtualGroup(FamilySpec(GL, n), ctx)
+    virt = instantiate(FamilySpec(GL, n), ctx)
     diag, members = [], []
     for perm in itertools.permutations(range(n)):
         for entries in itertools.product(range(1, ctx.q), repeat=n):
@@ -703,7 +702,7 @@ def test_norm_one_classes_of_mu12():
 
 
 def test_weyl_quotient_carrier_has_two_classes():
-    virt = VirtualGroup(FamilySpec(GL, 2), F9)
+    virt = instantiate(FamilySpec(GL, 2), F9)
     members = _monomial_2x2(F9)
     N = subgroup_from_members(virt, members)
     T = subgroup_from_members(virt, [m for m in members if m[0, 1] == 0])

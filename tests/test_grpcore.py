@@ -7,6 +7,7 @@ import random
 import pytest
 
 from zclasskit import grpcore, limits
+from zclasskit.cli import main
 from zclasskit.errors import BadCharacteristic, BoundExceeded, ConsistencyError
 from zclasskit.ff import make_field, mult_generator, prime_power
 from zclasskit.grpcore import (
@@ -19,7 +20,6 @@ from zclasskit.grpcore import (
     UNIPOTENT,
     FamilySpec,
     GroupTable,
-    VirtualGroup,
     center,
     centralizer,
     closure_generate,
@@ -133,18 +133,55 @@ def test_elements_sorted_canonically():
 
 
 def test_instantiate_bound():
+    # instantiate takes GL2(F5) (order 480) above the bound; its first
+    # table work, the class walk, is refused
     token = limits.INVOCATION.set({"ZK_MAX_GROUP": 100})
     try:
-        with pytest.raises(BoundExceeded):
-            instantiate(FamilySpec(GL, 2), F5)
+        table = instantiate(FamilySpec(GL, 2), F5)
+        assert table.order == 480
+        with pytest.raises(BoundExceeded) as exc:
+            conjugacy_classes(table)
     finally:
         limits.INVOCATION.reset(token)
+    assert "gl:2@5 has order 480, above bound 100 (ZK_MAX_GROUP / --max-group)" in str(exc.value)
 
 
 def test_instantiate_bound_env(monkeypatch):
     monkeypatch.setenv("ZK_MAX_GROUP", "10")
-    with pytest.raises(BoundExceeded):
-        instantiate(FamilySpec(SL, 2), F3)
+    table = instantiate(FamilySpec(SL, 2), F3)
+    with pytest.raises(BoundExceeded) as exc:
+        centralizer(table, table.identity_id)
+    assert "sl:2@3 has order 24, above bound 10 (ZK_MAX_GROUP / --max-group)" in str(exc.value)
+    assert table._orbit_root is None
+
+
+def test_dihedral_list_is_capped_by_the_bound(monkeypatch, capsys):
+    # dihedral:50 lists its 100 elements over F_101; under a bound of 10 the
+    # closure walk stops at 10 elements, two products each
+    products = []
+    mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    monkeypatch.setenv("ZK_MAX_GROUP", "10")
+    with pytest.raises(BoundExceeded, match=r"exceeded bound 10 \(ZK_MAX_GROUP / --max-group\)"):
+        instantiate(FamilySpec(DIHEDRAL, 50))
+    assert 0 < len(products) <= 2 * 10
+    assert main(["zclasses", "dihedral:50", "--no-footer"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "(ZK_MAX_GROUP / --max-group)" in err
+    monkeypatch.setenv("ZK_MAX_GROUP", "100")
+    assert instantiate(FamilySpec(DIHEDRAL, 50)).order == 100
+
+
+def test_closure_table_walked_above_a_lowered_bound_is_refused(monkeypatch):
+    table = closure_generate(F5, [regular_unipotent(2, 1, F5), Mat.diagonal(F5, [2, 1])])
+    assert table.order == 20
+    monkeypatch.setenv("ZK_MAX_GROUP", "10")
+    for work in (conjugacy_classes, lambda t: centralizer(t, t.identity_id), GroupTable.ids):
+        with pytest.raises(BoundExceeded) as exc:
+            work(table)
+        assert "closure@5 has order 20, above bound 10 (ZK_MAX_GROUP / --max-group)" in str(
+            exc.value
+        )
 
 
 def test_characteristic_guard():
@@ -564,7 +601,7 @@ def test_monomial_formula_matches_scan_gl3_f3():
 
 
 def test_quotient_weyl_gl3_f5_virtual_parent():
-    virt = VirtualGroup(FamilySpec(GL, 3), F5)
+    virt = instantiate(FamilySpec(GL, 3), F5)
     diag = [Mat.diagonal(F5, d) for d in itertools.product(range(1, 5), repeat=3)]
     T = subgroup_from_members(virt, diag)
     N = subgroup_from_members(virt, _monomial_weyl(F5, 3))

@@ -5,14 +5,18 @@ import re
 
 import pytest
 
+from zclasskit import limits
 from zclasskit.cli import main
 from zclasskit.errors import BadCharacteristic
+from zclasskit.ff import make_field
+from zclasskit.grpcore import GL, FamilySpec, family_order
 from zclasskit.paperlab import (
     CATALOG,
     FAIL,
     PASS,
     REPORT_ONLY,
     SUITES,
+    _weyl_class_count,
     _witness,
     run_experiment,
     verify_suite,
@@ -112,6 +116,14 @@ def test_tori_gl3_oracle():
     assert e.verdict == PASS
     assert e.computed == 3
     assert e.prediction_source == "oracle"
+
+
+def test_weyl_oracle_takes_a_parent_above_the_group_bound():
+    # GL3(F7) has order 33 784 128, above the default ZK_MAX_GROUP: the
+    # oracle reads only membership of the torus and monomial matrices
+    assert family_order(FamilySpec(GL, 3), make_field(7, 1)) == 33_784_128
+    assert 33_784_128 > limits.max_group()
+    assert _weyl_class_count(3, 7) == 3
 
 
 def test_borel_counterexample_shapes():

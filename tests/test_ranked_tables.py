@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from zclasskit import grpcore, limits, paperlab
+from zclasskit import limits, paperlab
 from zclasskit.errors import BoundExceeded, ConsistencyError
 from zclasskit.ff import _factorize, make_field, prime_power
 from zclasskit.grpcore import (
@@ -23,8 +23,9 @@ from zclasskit.grpcore import (
     SL,
     UNIPOTENT,
     FamilySpec,
-    VirtualGroup,
     center,
+    centralizer,
+    conjugacy_classes,
     family_order,
     instantiate,
     whole_group,
@@ -98,7 +99,6 @@ def test_non_members_are_refused(name):
     with pytest.raises(KeyError, match="matrix is not an element of this group"):
         table.id_of(g)
     assert not table.contains(g)
-    assert not VirtualGroup(spec, F5).contains(g)
     assert len(table._mats) == 1  # the identity; a refusal memoizes nothing
 
 
@@ -143,17 +143,37 @@ def test_normalizer_structure_touches_a_few_elements_of_sl3_f4(monkeypatch):
     assert len(table._ids) <= 2_500 and len(table._mats) <= 2_500
 
 
-def test_instantiate_above_the_bound_refuses_before_any_work(monkeypatch):
-    built = []
-    ranks = grpcore._LinearRanks
-    monkeypatch.setattr(grpcore, "_LinearRanks", lambda *a: built.append(a) or ranks(*a))
+def test_instantiate_above_the_bound_refuses_before_any_work():
+    # the table comes at any order; its first per-element work is refused
+    # before an orbit array is allocated or an element unranked
     order = family_order(FamilySpec(SL, 3), F5)
     token = limits.INVOCATION.set({"ZK_MAX_GROUP": order - 1})
     try:
-        with pytest.raises(BoundExceeded, match="above bound"):
-            instantiate(FamilySpec(SL, 3), F5)
+        table = instantiate(FamilySpec(SL, 3), F5)
+        for work in (conjugacy_classes, lambda t: centralizer(t, t.identity_id)):
+            with pytest.raises(BoundExceeded) as exc:
+                work(table)
+            assert (f"sl:3@5 has order {order}, above bound {order - 1} "
+                    "(ZK_MAX_GROUP / --max-group)") in str(exc.value)
+            assert table._orbit_root is None
+            assert len(table._mats) == len(table._ids) == 1  # the identity
     finally:
         limits.INVOCATION.reset(token)
-    assert built == []
-    assert instantiate(FamilySpec(SL, 3), F5).order == order
-    assert len(built) == 1
+
+
+def test_a_table_above_the_bound_answers_order_membership_and_center():
+    order = family_order(FamilySpec(SL, 3), F5)
+    token = limits.INVOCATION.set({"ZK_MAX_GROUP": order - 1})
+    try:
+        table = instantiate(FamilySpec(SL, 3), F5)
+        assert table.order == len(table) == 372_000
+        g = mat_parse(F5, "[1,2,3;0,1,4;0,0,1]")
+        assert table.contains(g)
+        assert not table.contains(Mat.diagonal(F5, [2, 1, 1]))
+        for eid in random.Random(25).sample(range(order), 50) + [0, order - 1]:
+            assert table.id_of(table.mat_of(eid)) == eid
+        assert table.mat_of(table.id_of(g)) == g
+        assert center(table).member_set == {Mat.identity(F5, 3)}  # gcd(3, 5 - 1) = 1
+        assert table._orbit_root is None
+    finally:
+        limits.INVOCATION.reset(token)

@@ -170,16 +170,19 @@ def test_max_bounds_name_their_knob(monkeypatch):
     group, field = "(ZK_MAX_GROUP / --max-group)", "(ZK_MAX_FIELD / --max-field)"
     u = regular_unipotent(2, 1, F5)
     gl2, borel2 = FamilySpec(GL, 2), FamilySpec(BOREL_GL, 2)
+    two_seeds = [u, Mat.diagonal(F5, [2, 1])]
     cases = [
-        (10, lambda: instantiate(gl2, F5), "above bound 10 " + group),
+        (10, lambda: conjugacy_classes(instantiate(gl2, F5)), "above bound 10 " + group),
         (3, lambda: closure_generate(F5, [u]), "exceeded bound 3 " + group),
-        (10, lambda: zclass._seed_partition(borel2, F5, [u]), "beyond both routes " + group),
+        (10, lambda: zclass._seed_partition(borel2, F5, two_seeds), "above bound 10 " + group),
     ]
     for bound, call, text in cases:
         monkeypatch.setenv("ZK_MAX_GROUP", str(bound))
         with pytest.raises(BoundExceeded) as exc:
             call()
         assert text in str(exc.value)
+    # one seed is its own block: no pair is tested, so no table work is done
+    assert zclass._seed_partition(borel2, F5, [u]) == ((0,),)
     monkeypatch.setenv("ZK_MAX_FIELD", "10")
     with pytest.raises(BoundExceeded) as exc:
         make_field(3, 5)
@@ -568,6 +571,13 @@ def test_growth_agrees_with_table_centralizer():
 
     up = mat_embed(regular_unipotent(2, 1, F3), f9)
     assert g.orders[1] == centralizer(big, big.id_of(up)).order
+
+
+def test_growth_in_bad_characteristic_reads_the_closed_form():
+    # membership is the family rule, not a table, so instantiate's
+    # characteristic guard (p | n for SL) does not apply
+    g = growth_degree(FamilySpec(SL, 2), F2, regular_unipotent(2, 1, F2), [1, 2])
+    assert g.orders == (2, 4)
 
 
 def test_growth_bound():
